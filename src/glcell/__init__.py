@@ -4,6 +4,9 @@ Minimizes the cell energy over fields with magnetic-periodic boundary
 conditions, builds explicit vortex-lattice trial states, detects and
 classifies vortices, and verifies the small-b asymptotics of the bulk
 energy density g(b).
+
+The functions `energy.energy` and `minimize.minimize` are not re-exported
+here, so that `glcell.energy` and `glcell.minimize` name the submodules.
 """
 
 from .analysis import (
@@ -26,7 +29,6 @@ from .energy import (
     EnergyError,
     covariant_differences,
     density_moments,
-    energy,
     gradient,
 )
 from .grid import (
@@ -48,7 +50,6 @@ from .minimize import (
     SolverSettings,
     estimate_g,
     init_state,
-    minimize,
 )
 from .snapshot import SnapshotError, SnapshotHeader, read_snapshot, write_snapshot
 from .trial import (

@@ -116,6 +116,8 @@ def cmd_minimize(args) -> int:
         "iterations": res.iterations,
         "grad_norm": res.grad_norm,
         "converged": res.converged,
+        "stop_reason": res.stop_reason,
+        "operator_evals": res.operator_evals,
     })
     return EXIT_OK if res.converged else EXIT_MAXITER
 

@@ -4,6 +4,9 @@ Kinetic term per link: b * |u(x + h e) e^{-i theta} - u(x)|^2 (the 1/h^2 of
 the covariant difference cancels the h^2 area weight), which is exactly
 gauge invariant.  Potential term per site: (h^2/2) (1 - |u|^2)^2.  The
 -(1/2)|K_R| offset is kept symbolic rather than summed per site.
+
+Every covariant difference goes through one CellOperator per field, built on
+first use and cached on the field (DiscreteField.operator).
 """
 
 from __future__ import annotations
@@ -13,11 +16,57 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Grid, LinkPhases, WrapRule, boundary_factors, link_phases
+from .grid import Grid, LinkPhases, WrapRule, connection, link_phases
 
 
 class EnergyError(ValueError):
     pass
+
+
+class CellOperator:
+    """Covariant difference D on one field's torus connection, and its adjoint.
+
+    (D u)_x = cx * u(x + h e1) - u(x) and (D u)_y = cy * u(x + h e2) - u(x),
+    where (cx, cy) = grid.connection carries the seam wrap factors, so the
+    seam links need no patching.  Dt is the adjoint, Re<D u, v> = Re<u, Dt v>.
+    `evaluations` counts applications of D and Dt.
+    """
+
+    def __init__(self, grid: Grid, wrap: WrapRule, phases: LinkPhases):
+        self.grid, self.wrap, self.phases = grid, wrap, phases
+        self.cx, self.cy = connection(phases, grid, wrap)
+        self.evaluations = 0
+
+    def D(self, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """(dx, dy) = D u, written into `out` when given."""
+        if out is None:
+            out = (np.empty(u.shape, np.complex128), np.empty(u.shape, np.complex128))
+        dx, dy = out
+        cx, cy = self.cx, self.cy
+        np.multiply(u[1:], cx[:-1], out=dx[:-1])
+        np.multiply(u[0], cx[-1], out=dx[-1])
+        dx -= u
+        np.multiply(u[:, 1:], cy[:, :-1], out=dy[:, :-1])
+        np.multiply(u[:, 0], cy[:, -1], out=dy[:, -1])
+        dy -= u
+        self.evaluations += 1
+        return dx, dy
+
+    def Dt(self, vx: np.ndarray, vy: np.ndarray, out=None) -> np.ndarray:
+        """Dt (vx, vy), written into `out` when given.  Overwrites vx and vy."""
+        out = np.negative(vx, out=out)
+        out -= vy
+        for v, c in ((vx, self.cx), (vy, self.cy)):
+            # v * conj(c), without a conjugated copy of the connection
+            np.conjugate(v, out=v)
+            v *= c
+            np.conjugate(v, out=v)
+        out[1:] += vx[:-1]
+        out[0] += vx[-1]
+        out[:, 1:] += vy[:, :-1]
+        out[:, 0] += vy[:, -1]
+        self.evaluations += 1
+        return out
 
 
 @dataclass
@@ -28,14 +77,30 @@ class DiscreteField:
     grid: Grid
     wrap: WrapRule
     phases: LinkPhases | None = None  # custom connection; None = A0 link phases
+    _operator: CellOperator | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "DiscreteField":
-        return replace(self, u=self.u.copy())
+        out = replace(self, u=self.u.copy())
+        out._operator = self._operator  # valid while grid, wrap and phases are shared
+        return out
 
     def link_phases(self) -> LinkPhases:
         if self.phases is None:
             self.phases = link_phases(self.grid)
         return self.phases
+
+    def operator(self) -> CellOperator:
+        """The cell operator of this field's grid, wrap and phases, built once.
+
+        It is rebuilt whenever any of the three is no longer the object it was
+        built from, so a replaced wrap or connection never meets a stale one.
+        """
+        phases = self.link_phases()
+        op = self._operator
+        if op is None or op.grid is not self.grid or op.wrap is not self.wrap \
+                or op.phases is not phases:
+            op = self._operator = CellOperator(self.grid, self.wrap, phases)
+        return op
 
 
 @dataclass(frozen=True)
@@ -71,16 +136,7 @@ def covariant_differences(
     """
     if boundary not in ("wrap", "open"):
         raise EnergyError(f"unknown boundary mode: {boundary!r}")
-    u = field.u
-    ph = field.link_phases()
-    bx, by = boundary_factors(field.grid, field.wrap)
-    ex, ey = ph.unit_factors()
-    ux = np.roll(u, -1, axis=0)
-    ux[-1, :] *= bx
-    uy = np.roll(u, -1, axis=1)
-    uy[:, -1] *= by
-    dx = ux * ex - u
-    dy = uy * ey - u
+    dx, dy = field.operator().D(field.u)
     if boundary == "open":
         dx[-1, :] = 0.0
         dy[:, -1] = 0.0
@@ -111,27 +167,70 @@ def energy_quartic_form(field: DiscreteField, b: float) -> float:
     )
 
 
+def redot(a: np.ndarray, c: np.ndarray) -> float:
+    """Re <a, c> = sum of Re(conj(a) c) over all sites, for two real or two complex arrays."""
+    a = np.ascontiguousarray(a).view(np.float64).ravel()
+    c = np.ascontiguousarray(c).view(np.float64).ravel()
+    return float(np.einsum("i,i->", a, c))
+
+
+def abs2(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|z|^2 per site as a real array."""
+    out = np.multiply(z.real, z.real, out=out)
+    out += z.imag * z.imag
+    return out
+
+
+def energy_and_gradient(
+    op: CellOperator, u: np.ndarray, b: float, dxy, c0: np.ndarray, grad: np.ndarray
+) -> float:
+    """Total energy at u; writes the gradient into grad and 1 - |u|^2 into c0.
+
+    The buffers dxy = (dx, dy) receive D u and are overwritten.  Sums run in
+    one pass each, without the compensated accumulation of `energy`.
+    """
+    h2 = op.grid.h ** 2
+    dx, dy = op.D(u, out=dxy)
+    kinetic = b * (redot(dx, dx) + redot(dy, dy))
+    np.subtract(1.0, abs2(u, out=c0), out=c0)
+    potential = 0.5 * h2 * redot(c0, c0)
+    op.Dt(dx, dy, out=grad)
+    grad *= 2.0 * b
+    np.multiply(u, c0, out=dx)
+    dx *= 2.0 * h2
+    grad -= dx
+    return kinetic + potential - 0.5 * op.grid.area
+
+
 def gradient(field: DiscreteField, b: float) -> np.ndarray:
     """Real-linear gradient: dG along v equals Re <grad, v> = Re sum(grad * conj(v))."""
     if not np.all(np.isfinite(field.u)):
         raise EnergyError("non-finite field values")
     u = field.u
-    g = field.grid
-    ph = field.link_phases()
-    bx, by = boundary_factors(field.grid, field.wrap)
-    dx, dy = covariant_differences(field)
-    # each link contributes -d to its base site and d*e^{i theta} to its tip,
-    # with the seam tip picking up the conjugate wrap factor
-    ex, ey = ph.unit_factors()
-    tx = dx * np.conj(ex)
-    ty = dy * np.conj(ey)
-    tx = np.roll(tx, 1, axis=0)
-    tx[0, :] *= np.conj(bx)
-    ty = np.roll(ty, 1, axis=1)
-    ty[:, 0] *= np.conj(by)
-    grad_kin = 2.0 * b * (tx + ty - dx - dy)
-    grad_pot = -2.0 * g.h**2 * (1.0 - np.abs(u) ** 2) * u
-    return grad_kin + grad_pot
+    grad = np.empty(u.shape, np.complex128)
+    dxy = (np.empty_like(grad), np.empty_like(grad))
+    energy_and_gradient(field.operator(), u, b, dxy, np.empty(u.shape), grad)
+    return grad
+
+
+def line_quartic(
+    u: np.ndarray, d: np.ndarray, dd, c0: np.ndarray, b: float, h: float
+) -> tuple[float, float, float]:
+    """(q2, q3, q4) with E(u + t d) - E(u) = s t + q2 t^2 + q3 t^3 + q4 t^4.
+
+    s = Re <gradient at u, d>, dd = (dx, dy) = D d and c0 = 1 - |u|^2.  With
+    a1 = 2 Re(conj(u) d) and a2 = |d|^2 the potential term is
+    (h^2/2) sum (c0 - a1 t - a2 t^2)^2, and the kinetic term adds b |D d|^2 t^2,
+    so the expansion is exact.
+    """
+    a1 = np.multiply(u.real, d.real)
+    a1 += u.imag * d.imag
+    a1 *= 2.0
+    a2 = abs2(d)
+    h2 = h * h
+    q2 = b * (redot(dd[0], dd[0]) + redot(dd[1], dd[1])) \
+        + 0.5 * h2 * (redot(a1, a1) - 2.0 * redot(c0, a2))
+    return q2, h2 * redot(a1, a2), 0.5 * h2 * redot(a2, a2)
 
 
 def density_moments(field: DiscreteField) -> tuple[float, float, float]:

@@ -103,15 +103,6 @@ class LinkPhases:
     theta_x: np.ndarray = field(repr=False)  # (n, n), link from (i,j) to (i+1,j)
     theta_y: np.ndarray = field(repr=False)  # (n, n), link from (i,j) to (i,j+1)
 
-    def unit_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exp(-i theta_x), exp(-i theta_y)), cached: this dominates the
-        energy evaluation cost if recomputed per call."""
-        cached = getattr(self, "_units", None)
-        if cached is None:
-            cached = (np.exp(-1j * self.theta_x), np.exp(-1j * self.theta_y))
-            object.__setattr__(self, "_units", cached)
-        return cached
-
 
 def link_phases(grid: Grid) -> LinkPhases:
     # A0 is affine, so the midpoint rule is exact:
@@ -201,6 +192,22 @@ def effective_link_phases(
     phi_x[-1, :] -= np.angle(bx)
     phi_y[:, -1] -= np.angle(by)
     return phi_x, phi_y
+
+
+def connection(
+    phases: LinkPhases, grid: Grid, wrap: WrapRule
+) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(-i phi_x), exp(-i phi_y)) of the effective link phases.
+
+    The seam wrap factors are multiplied into the unit link factors once, so
+    the covariant difference on every link, seam included, is c * u(tip) - u.
+    """
+    bx, by = boundary_factors(grid, wrap)
+    cx = np.exp(-1j * phases.theta_x)
+    cx[-1, :] *= bx
+    cy = np.exp(-1j * phases.theta_y)
+    cy[:, -1] *= by
+    return cx, cy
 
 
 def plaquette_fluxes(phases: LinkPhases, grid: Grid, wrap: WrapRule) -> np.ndarray:

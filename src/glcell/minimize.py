@@ -1,9 +1,14 @@
 """Minimization of the cell energy over the magnetic-periodic space.
 
-Nonlinear conjugate gradient (Polak-Ribiere with restarts) on the real and
-imaginary parts of the field, with Armijo backtracking.  A gradient-flow
-fallback is available behind a setting.  g(b) is estimated by taking the
-best energy density over several initializations at the largest cell.
+Preconditioned nonlinear conjugate gradient (Polak-Ribiere+, with restarts)
+on the real and imaginary parts of the field, after Antoine, Levitt and Tang,
+J. Comput. Phys. 343 (2017).  Along a search direction the energy is an
+exact quartic in the step length, so the line search takes the real root of
+its cubic derivative with the lowest energy.  The preconditioner
+(2b L + 2 sigma h^2)^-1, with L the symbol of the periodic 5-point
+Laplacian, is applied by FFT and ignores the magnetic phases.
+method="flow" runs the same loop with beta = 0.  g(b) is estimated by taking
+the best energy density over several initializations at the largest cell.
 """
 
 from __future__ import annotations
@@ -11,13 +16,24 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 
-from .energy import DiscreteField, EnergyBreakdown, energy, gradient
+from .energy import (
+    DiscreteField,
+    EnergyBreakdown,
+    energy,
+    energy_and_gradient,
+    gradient,
+    line_quartic,
+    redot,
+)
 from .grid import CellConfig, WrapRule, build_grid, choose_n
 from .trial import build_trial, predicted_density, trial_config
+
+SIGMA = 2.0  # potential shift of the preconditioner, in units of 2 h^2
 
 
 class MinimizationError(RuntimeError):
@@ -32,8 +48,6 @@ class SolverSettings:
     max_iter: int = 20000
     method: str = "ncg"             # "ncg" or "flow"
     restart_every: int = 200
-    armijo_c1: float = 1e-4
-    step_growth: float = 2.0
     saddle_kick: float = 1e-2       # perturbation scale to escape exact critical points
     divergence_factor: float = 1e3  # error if energy exceeds initial by this margin
 
@@ -47,6 +61,8 @@ class MinimizationResult:
     converged: bool
     init_label: str
     wall_time: float
+    stop_reason: str      # "converged", "max_iter" or "line_search_failed"
+    operator_evals: int   # applications of D and its adjoint, final evaluation included
 
     @property
     def density(self) -> float:
@@ -93,8 +109,38 @@ def init_state(kind: str, config: CellConfig, seed: int | None = None) -> Discre
     raise ValueError(f"unknown init kind: {kind}")
 
 
-def _redot(a: np.ndarray, c: np.ndarray) -> float:
-    return float(np.sum(a.real * c.real + a.imag * c.imag))
+def _kinetic_preconditioner(n: int, b: float, h: float) -> np.ndarray:
+    """FFT symbol of (2b L + 2 SIGMA h^2)^-1, L = 4 - 2 cos k1 - 2 cos k2."""
+    c = np.cos(2.0 * math.pi * np.arange(n) / n)
+    lap = 4.0 - 2.0 * c[:, None] - 2.0 * c[None, :]
+    return 1.0 / (2.0 * b * lap + 2.0 * SIGMA * h * h)
+
+
+def _precondition(grad: np.ndarray, symbol: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.copyto(out, grad)
+    out = fft.fft2(out, overwrite_x=True)
+    out *= symbol
+    return fft.ifft2(out, overwrite_x=True)
+
+
+def _exact_step(slope: float, q2: float, q3: float, q4: float) -> tuple[float, float]:
+    """(t, p(t)) for the real critical point t of the quartic
+    p(t) = slope t + q2 t^2 + q3 t^3 + q4 t^4 with the lowest value."""
+    def p(t):
+        return t * (slope + t * (q2 + t * (q3 + t * q4)))
+
+    if not slope < 0.0:
+        return 0.0, 0.0
+    roots = np.roots([4.0 * q4, 3.0 * q3, 2.0 * q2, slope])
+    # the real parts of complex roots are not critical points, but the global
+    # minimiser is a real root and no other candidate can undercut it
+    t = min((float(r) for r in roots.real), key=p)
+    return t, p(t)
+
+
+def _diverged(msg: str, diagnostics: dict) -> MinimizationError:
+    return MinimizationError(f"minimization diverged: {msg}",
+                             {"stop_reason": "diverged", **diagnostics})
 
 
 def minimize(
@@ -105,78 +151,98 @@ def minimize(
     t0 = time.perf_counter()
     fld = init.copy()
     g = fld.grid
+    op = fld.operator()
+    evals0 = op.evaluations
     e0 = energy(fld, b).total
-    grad = gradient(fld, b)
-    gnorm = math.sqrt(_redot(grad, grad))
+    u = fld.u = fld.u.astype(np.complex128, copy=False)  # updated in place
+    dxy = (np.empty_like(u), np.empty_like(u))  # D u, then D d
+    c0 = np.empty(u.shape)
+    grad, grad_old = np.empty_like(u), np.empty_like(u)
+    pg = np.empty_like(u)
+    d = np.empty_like(u)
+    symbol = _kinetic_preconditioner(g.n, b, g.h)
 
     def converged_at(gn, val):
         return gn * g.h / max(abs(val), 1.0) <= s.grad_tol
 
-    value = e0
-    direction = -grad
-    step = 1.0 / max(gnorm, 1e-30)
+    def evaluate(it):
+        val = energy_and_gradient(op, u, b, dxy, c0, grad)
+        gn = math.sqrt(redot(grad, grad))
+        if not (math.isfinite(val) and math.isfinite(gn)):
+            raise _diverged("non-finite energy or gradient",
+                            {"iteration": it, "value": val, "initial": e0})
+        return val, gn
+
+    def line_search(slope):
+        coeffs = (slope, *line_quartic(u, d, op.D(d, out=dxy), c0, b, g.h))
+        if not all(math.isfinite(q) for q in coeffs):
+            raise _diverged("non-finite line search coefficients",
+                            {"iteration": it, "value": value, "initial": e0})
+        return _exact_step(*coeffs)
+
+    value, gnorm = evaluate(0)
     it = 0
     kicks = 1
     rng = np.random.default_rng(0)
-    best_u, best_val = fld.u.copy(), value
-    while it < s.max_iter:
+    best_u, best_val = u.copy(), value
+    restart = True
+    gpg_old = 1.0
+    while True:
         if converged_at(gnorm, value):
             # converging onto the u = 0 saddle (G = 0 but b < 1 admits
             # negative states): kick harder and keep going
             if b < 1.0 and s.saddle_kick > 0.0 and value > -1e-9 and kicks < 4:
                 scale = s.saddle_kick * 10.0 ** (kicks - 1)
-                fld.u = fld.u + scale * (
-                    rng.standard_normal(fld.u.shape)
-                    + 1j * rng.standard_normal(fld.u.shape)
-                )
+                u += scale * (rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
                 kicks += 1
-                value = energy(fld, b).total
-                grad = gradient(fld, b)
-                gnorm = math.sqrt(_redot(grad, grad))
-                direction = -grad
-                step = 1.0 / max(gnorm, 1e-30)
+                value, gnorm = evaluate(it)
+                restart = True
                 continue
+            reason = "converged"
+            break
+        if it >= s.max_iter:
+            reason = "max_iter"
             break
         it += 1
-        slope = _redot(grad, direction)
-        if slope >= 0.0:  # not a descent direction: restart on steepest descent
-            direction = -grad
-            slope = -gnorm * gnorm
-        # Armijo backtracking from an optimistic step
-        t = step * s.step_growth
-        accepted = False
-        for _ in range(60):
-            trial_u = fld.u + t * direction
-            val = energy(replace(fld, u=trial_u), b).total
-            if val <= value + s.armijo_c1 * t * slope:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            direction = -grad
-            step = 1.0 / max(gnorm, 1e-30)
-            continue
-        step = t
-        fld.u = trial_u
-        new_grad = gradient(fld, b)
-        new_gnorm = math.sqrt(_redot(new_grad, new_grad))
-        if s.method == "flow" or it % s.restart_every == 0:
+        pg = _precondition(grad, symbol, pg)
+        gpg = redot(grad, pg)
+        beta = 0.0
+        if not (restart or s.method == "flow" or it % s.restart_every == 0):
+            beta = max(0.0, (gpg - redot(grad_old, pg)) / gpg_old)
+        if beta > 0.0:
+            d *= beta
+            d -= pg
+            slope = redot(grad, d)
+        if beta == 0.0 or slope >= 0.0:  # restart on -P grad
             beta = 0.0
-        else:
-            beta = max(0.0, _redot(new_grad, new_grad - grad) / max(gnorm**2, 1e-300))
-        direction = -new_grad + beta * direction
-        grad, gnorm, value = new_grad, new_gnorm, val
+            np.negative(pg, out=d)
+            slope = -gpg
+        t, drop = line_search(slope)
+        # a drop below the rounding of the energy cannot be told from none
+        resolution = np.finfo(float).eps * max(abs(value), 1.0)
+        if not drop < -resolution and beta > 0.0:
+            np.negative(pg, out=d)
+            t, drop = line_search(-gpg)
+        if not drop < -resolution:
+            reason = "line_search_failed"
+            break
+        u += np.multiply(d, t, out=dxy[0])
+        grad, grad_old = grad_old, grad
+        gpg_old = gpg
+        value, gnorm = evaluate(it)
+        restart = False
         if value < best_val:
-            best_val, best_u = value, fld.u.copy()
+            best_val = value
+            np.copyto(best_u, u)
         if value > e0 + s.divergence_factor * (abs(e0) + 1.0):
-            raise MinimizationError(
-                "energy diverged during minimization",
-                {"iteration": it, "value": value, "initial": e0, "grad_norm": gnorm},
-            )
+            raise _diverged("energy rose far above its initial value",
+                            {"iteration": it, "value": value, "initial": e0, "grad_norm": gnorm})
+    # free the loop's buffers before the final evaluation allocates its own
+    del u, dxy, c0, grad, grad_old, pg, d, symbol
     fld.u = best_u
     bd = energy(fld, b)
     grad = gradient(fld, b)
-    gnorm = math.sqrt(_redot(grad, grad))
+    gnorm = math.sqrt(redot(grad, grad))
     return MinimizationResult(
         field=fld,
         breakdown=bd,
@@ -185,6 +251,8 @@ def minimize(
         converged=converged_at(gnorm, bd.total),
         init_label=init_label,
         wall_time=time.perf_counter() - t0,
+        stop_reason=reason,
+        operator_evals=op.evaluations - evals0,
     )
 
 

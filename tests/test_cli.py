@@ -20,6 +20,8 @@ def test_minimize_writes_outputs(tmp_path, capsys):
     assert (out / "field.glc").exists()
     result = json.loads((out / "result.json").read_text())
     assert result["converged"]
+    assert result["stop_reason"] == "converged"
+    assert result["operator_evals"] >= 2 * result["iterations"]
     assert result["energy"]["total"] < 0.0
     assert set(result["energy"]) == {"kinetic", "potential", "offset", "total"}
 
@@ -47,6 +49,8 @@ def test_minimize_maxiter_exit_code(tmp_path, capsys):
                       "--init", "random", "--max-iter", "2",
                       "--out", str(tmp_path)], capsys)
     assert code == EXIT_MAXITER
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["stop_reason"] == "max_iter" and result["iterations"] == 2
 
 
 def test_trial_report(tmp_path, capsys):

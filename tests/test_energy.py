@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,18 +7,23 @@ import pytest
 from glcell.energy import (
     DiscreteField,
     EnergyError,
+    abs2,
     covariant_differences,
     density_moments,
     energy,
     energy_quartic_form,
     gradient,
+    line_quartic,
+    redot,
 )
-from glcell.grid import CellConfig, WrapRule, build_grid
+from glcell.grid import CellConfig, LinkPhases, WrapRule, build_grid, link_phases, wrap_value
+
+TWIST = (0.3, -0.7)  # wrap twists (alpha, beta)
 
 
-def make_field(b=0.5, N=1, n=32, kind="random", seed=0):
+def make_field(b=0.5, N=1, n=32, kind="random", seed=0, twist=(0.0, 0.0)):
     g = build_grid(CellConfig(b=b, N=N, n=n))
-    wrap = WrapRule(n=n, N=N)
+    wrap = WrapRule(n=n, N=N, alpha=twist[0], beta=twist[1])
     if kind == "random":
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -146,3 +152,75 @@ def test_covariant_difference_gauge_covariance():
     dx2, dy2 = covariant_differences(rot)
     assert np.max(np.abs(dx2 - np.exp(0.7j) * dx)) < 1e-12
     assert np.max(np.abs(dy2 - np.exp(0.7j) * dy)) < 1e-12
+
+
+def reference_differences(f):
+    """D u link by link from the magnetic-periodic extension (wrap_value)."""
+    n = f.grid.n
+    th = link_phases(f.grid)
+    dx = np.empty_like(f.u)
+    dy = np.empty_like(f.u)
+    for i in range(n):
+        for j in range(n):
+            dx[i, j] = wrap_value(f.u, f.wrap, i + 1, j) * np.exp(-1j * th.theta_x[i, j]) - f.u[i, j]
+            dy[i, j] = wrap_value(f.u, f.wrap, i, j + 1) * np.exp(-1j * th.theta_y[i, j]) - f.u[i, j]
+    return dx, dy
+
+
+def test_operator_matches_reference_at_twisted_wrap():
+    f = make_field(b=0.9, N=2, seed=4, twist=TWIST)
+    ref_x, ref_y = reference_differences(f)
+    dx, dy = f.operator().D(f.u)
+    assert np.max(np.abs(dx - ref_x)) < 1e-13 and np.max(np.abs(dy - ref_y)) < 1e-13
+    cx, cy = covariant_differences(f)
+    assert np.array_equal(cx, dx) and np.array_equal(cy, dy)
+    ox, oy = covariant_differences(f, boundary="open")
+    assert np.array_equal(ox[:-1], dx[:-1]) and not ox[-1].any()
+    assert np.array_equal(oy[:, :-1], dy[:, :-1]) and not oy[:, -1].any()
+
+
+def test_operator_adjoint():
+    rng = np.random.default_rng(5)
+    f = make_field(b=0.9, N=3, n=40, seed=5, twist=TWIST)
+    op = f.operator()
+    shape = f.u.shape
+    vx, vy = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    dx, dy = op.D(f.u)
+    lhs = redot(dx, vx) + redot(dy, vy)
+    rhs = redot(f.u, op.Dt(vx.copy(), vy.copy()))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+def test_line_quartic_is_exact():
+    # E(u + t d) - E(u) = s t + q2 t^2 + q3 t^3 + q4 t^4 with s = Re <grad, d>
+    rng = np.random.default_rng(6)
+    b = 0.3
+    f = make_field(b=b, N=2, n=56, seed=6, twist=TWIST)
+    d = 0.4 * (rng.standard_normal(f.u.shape) + 1j * rng.standard_normal(f.u.shape))
+    slope = redot(gradient(f, b), d)
+    dd = f.operator().D(d)
+    q2, q3, q4 = line_quartic(f.u, d, dd, 1.0 - abs2(f.u), b, f.grid.h)
+    e0 = energy(f, b).total
+    for t in (-0.7, -0.05, 0.1, 0.5, 1.3):
+        moved = DiscreteField(u=f.u + t * d, grid=f.grid, wrap=f.wrap)
+        exact = energy(moved, b).total - e0
+        quartic = slope * t + q2 * t**2 + q3 * t**3 + q4 * t**4
+        assert abs(exact - quartic) <= 1e-12 * max(abs(e0), abs(exact), 1.0)
+
+
+def test_replaced_wrap_or_phases_never_reuse_connection():
+    b = 0.5
+    twisted = WrapRule(n=32, N=1, alpha=TWIST[0], beta=TWIST[1])
+    f = make_field(seed=7)
+    energy(f, b)  # builds and caches the untwisted operator
+    fresh = make_field(seed=7, twist=TWIST)
+    expected = energy(fresh, b).total
+    assert energy(dataclasses.replace(f, wrap=twisted), b).total == expected
+    assert energy(f.copy(), b).total == energy(make_field(seed=7), b).total
+    f.wrap = twisted
+    assert energy(f, b).total == expected
+    assert np.array_equal(gradient(f, b), gradient(fresh, b))
+    # a gauge-shifted connection changes the energy of the same samples
+    ph = link_phases(f.grid)
+    f.phases = LinkPhases(theta_x=ph.theta_x + 0.2, theta_y=ph.theta_y)
+    assert energy(f, b).total != expected

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from glcell.energy import energy
-from glcell.grid import CellConfig, build_grid
+from glcell.energy import DiscreteField, energy, gradient
+from glcell.grid import CellConfig, build_grid, wrap_value
 from glcell.minimize import (
+    MinimizationError,
     SolverSettings,
     estimate_g,
     init_state,
@@ -35,6 +36,7 @@ def test_zero_init_escapes_saddle():
     res = minimize(init_state("zero", CFG), B, SolverSettings(max_iter=3000), "zero")
     assert res.breakdown.total < -1e-3
     assert res.converged
+    assert res.stop_reason == "converged"
 
 
 def test_minimizer_below_trial_and_zero():
@@ -94,3 +96,88 @@ def test_degenerate_budget_flagged():
     s = SolverSettings(max_iter=0, saddle_kick=0.0)
     point = estimate_g(B, [N], init_kinds=("zero",), settings=s, n_random=0)
     assert "likely not converged to ground state" in point.flags
+
+
+def test_submodules_are_not_shadowed():
+    import glcell.energy as E
+    import glcell.minimize as M
+
+    assert M.SolverSettings is SolverSettings
+    assert E.energy is energy
+
+
+def test_stop_reason_max_iter():
+    res = minimize(init_state("random", CFG), B, SolverSettings(max_iter=3, grad_tol=1e-14))
+    assert res.stop_reason == "max_iter"
+    assert res.iterations == 3 and not res.converged
+    # each iteration applies D twice and its adjoint once
+    assert res.operator_evals >= 3 * res.iterations
+
+
+def test_stop_reason_line_search_failed_at_round_off():
+    # with no tolerance the solver runs into the rounding of the energy; the
+    # quartic then predicts no decrease along -P grad and the run stops
+    s = SolverSettings(grad_tol=0.0, max_iter=5000)
+    res = minimize(init_state("trial", CFG), B, s, "trial")
+    assert res.stop_reason == "line_search_failed"
+    assert res.iterations < s.max_iter
+    assert res.grad_norm * res.field.grid.h / abs(res.breakdown.total) <= 1e-8
+
+
+def test_nonfinite_step_raises_minimization_error():
+    # |u|^2 = 1e80 keeps the energy and gradient finite, but |d|^4 in the
+    # line search overflows.  Relative to |G| ~ 1e160 the gradient is tiny,
+    # so only grad_tol = 0 takes the run into its first line search.
+    init = init_state("uniform", CFG)
+    init.u *= 1e40
+    with np.errstate(all="ignore"), pytest.raises(MinimizationError) as info:
+        minimize(init, B, SolverSettings(grad_tol=0.0))
+    assert info.value.diagnostics["stop_reason"] == "diverged"
+    assert info.value.diagnostics["iteration"] == 1
+
+
+def magnetic_translate(f, p, q):
+    """u'(x) = e^{i phi(x)} u(x - a) with a = (p, q) (n/N) h, phi = (a1 x2 - a2 x1)/2.
+
+    Shifts by whole multiples of n/N sites map the magnetic-periodic space
+    onto itself and leave the discrete energy invariant.
+    """
+    g, n = f.grid, f.grid.n
+    s1, s2 = p * n // g.N, q * n // g.N
+    a1, a2 = s1 * g.h, s2 * g.h
+    shifted = np.array([[wrap_value(f.u, f.wrap, i - s1, j - s2) for j in range(n)]
+                        for i in range(n)])
+    phase = np.exp(0.5j * (a1 * g.x2[None, :] - a2 * g.x1[:, None]))
+    return DiscreteField(u=phase * shifted, grid=g, wrap=f.wrap)
+
+
+B4, CFG4 = 0.25, trial_config(0.25, 4)
+
+
+@pytest.mark.parametrize("shift", [(1, 2), (3, 1)])
+def test_magnetic_translation_energy_and_gradient(shift):
+    f = init_state("random", CFG4, seed=3)
+    moved = magnetic_translate(f, *shift)
+    e = energy(f, B4).total
+    assert abs(energy(moved, B4).total - e) <= 1e-12 * abs(e)
+    grad = gradient(f, B4)
+    moved_grad = magnetic_translate(DiscreteField(u=grad, grid=f.grid, wrap=f.wrap), *shift).u
+    assert np.max(np.abs(gradient(moved, B4) - moved_grad)) <= 1e-12 * np.max(np.abs(grad))
+
+
+def test_magnetic_translation_minimize():
+    # The bare N=4 trial state sits near the square-lattice saddle.  The
+    # preconditioner ignores the magnetic phases, so it does not commute with
+    # magnetic translations, and from the bare trial state some translations
+    # leave the saddle while others stop on it.  A seeded perturbation moves
+    # the start off the saddle, so every translate must reach the same minimum.
+    init = init_state("trial", CFG4)
+    rng = np.random.default_rng(1)
+    init.u = init.u + 0.05 * (rng.standard_normal(init.u.shape)
+                              + 1j * rng.standard_normal(init.u.shape))
+    s = SolverSettings(grad_tol=1e-9)
+    ref = minimize(init, B4, s).breakdown.total
+    for shift in ((1, 2), (1, 0)):
+        res = minimize(magnetic_translate(init, *shift), B4, s)
+        assert res.stop_reason == "converged"
+        assert abs(res.breakdown.total - ref) <= 1e-9 * abs(ref)

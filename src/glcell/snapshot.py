@@ -2,8 +2,14 @@
 
 Layout: the ASCII magic "GLCELL1" followed by a one-line JSON header and a
 single newline, then the raw payload: 2 * n^2 little-endian float64 values,
-interleaved re/im, row-major from (i=0, j=0) with i fastest.  The payload is
-exactly 16 * n^2 bytes; readers reject any other length.
+interleaved re/im, column-major from (i=0, j=0) with i fastest.  The payload
+is exactly 16 * n^2 bytes; readers reject any other length.
+
+The header carries the wrap twists alpha and beta, so a field in a twisted
+magnetic-periodic space reads back with its energy.  Files written before the
+twists were stored read back with alpha = beta = 0, and files whose layout
+label says "row-major" (the old, wrong name of the same i-fastest order) read
+as usual.  A field with a custom connection (`phases`) cannot be stored.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import DiscreteField
-from .grid import CellConfig, WrapRule, build_grid
+from .grid import CellConfig, WrapRule, build_grid, link_phases
 
 MAGIC = b"GLCELL1"
+LAYOUTS = ("column-major", "row-major")
 
 
 class SnapshotError(ValueError):
@@ -31,7 +38,9 @@ class SnapshotHeader:
     n: int
     b: float
     N: int
-    layout: str = "row-major"
+    alpha: float = 0.0
+    beta: float = 0.0
+    layout: str = LAYOUTS[0]
     dtype: str = "f64le"
     created: str = ""
 
@@ -42,6 +51,8 @@ class SnapshotHeader:
             "n": self.n,
             "b": self.b,
             "N": self.N,
+            "alpha": self.alpha,
+            "beta": self.beta,
             "layout": self.layout,
             "dtype": self.dtype,
             "channels": ["re", "im"],
@@ -56,10 +67,22 @@ def _payload(u: np.ndarray) -> bytes:
     return flat.astype("<c16").tobytes()
 
 
+def _has_custom_phases(field: DiscreteField) -> bool:
+    if field.phases is None:
+        return False
+    default = link_phases(field.grid)
+    return not (np.array_equal(field.phases.theta_x, default.theta_x)
+                and np.array_equal(field.phases.theta_y, default.theta_y))
+
+
 def write_snapshot(path, field: DiscreteField, b: float) -> None:
+    """Write the field and b; raises SnapshotError for a custom connection,
+    which the format cannot hold."""
+    if _has_custom_phases(field):
+        raise SnapshotError("cannot store a field with custom link phases")
     g = field.grid
     header = SnapshotHeader(
-        version=1, R=g.R, n=g.n, b=b, N=g.N,
+        version=1, R=g.R, n=g.n, b=b, N=g.N, alpha=field.wrap.alpha, beta=field.wrap.beta,
         created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
     with open(path, "wb") as fh:
@@ -85,6 +108,8 @@ def read_snapshot(path) -> tuple[DiscreteField, float]:
     for key in ("version", "R", "n", "b", "N"):
         if key not in meta:
             raise SnapshotError(f"header missing key {key!r}")
+    if meta.get("layout", LAYOUTS[0]) not in LAYOUTS:
+        raise SnapshotError(f"unknown payload layout {meta['layout']!r}")
     n = int(meta["n"])
     payload = blob[nl + 1:]
     if len(payload) != 16 * n * n:
@@ -95,5 +120,7 @@ def read_snapshot(path) -> tuple[DiscreteField, float]:
     u = np.reshape(flat, (n, n), order="F").copy()
     config = CellConfig(b=float(meta["b"]), N=int(meta["N"]), n=n)
     grid = build_grid(config)
-    field = DiscreteField(u=u, grid=grid, wrap=WrapRule(n=n, N=grid.N))
+    wrap = WrapRule(n=n, N=grid.N, alpha=float(meta.get("alpha", 0.0)),
+                    beta=float(meta.get("beta", 0.0)))
+    field = DiscreteField(u=u, grid=grid, wrap=wrap)
     return field, float(meta["b"])

@@ -195,11 +195,18 @@ def _components(mask: np.ndarray) -> list[np.ndarray]:
     for a, b in zip(labels[:, -1], labels[:, 0]):
         if a and b:
             union(int(a), int(b))
-    groups: dict[int, list] = {}
-    idx = np.argwhere(labels > 0)
-    for i, j in idx:
-        groups.setdefault(find(int(labels[i, j])), []).append((int(i), int(j)))
-    return [np.array(g) for g in groups.values()]
+    root = np.array([find(a) for a in range(nlab + 1)])
+    sites = np.argwhere(labels > 0)
+    # group by root, in order of each group's first site; the stable sort
+    # keeps the sites of a group in row-major order
+    roots, first, inverse, counts = np.unique(
+        root[labels[labels > 0]], return_index=True, return_inverse=True, return_counts=True
+    )
+    appearance = np.argsort(first)
+    rank = np.empty_like(appearance)
+    rank[appearance] = np.arange(len(roots))
+    order = np.argsort(rank[inverse], kind="stable")
+    return np.split(sites[order], np.cumsum(counts[appearance])[:-1])
 
 
 def _component_disk(comp: np.ndarray, grid) -> tuple[tuple[float, float], float]:
@@ -389,23 +396,18 @@ def coverage_gaps(field: DiscreteField, balls, b: float) -> int:
     margin = math.sqrt(b)
     absu = np.abs(field.u)
     flagged = np.argwhere(np.abs(absu - 1.0) >= b ** (1.0 / 16.0))
-    count = 0
-    for i, j in flagged:
-        x = -g.R / 2 + i * g.h
-        y = -g.R / 2 + j * g.h
-        dx1 = (x + g.R / 2) % side
-        dx2 = (y + g.R / 2) % side
-        if min(dx1, side - dx1, dx2, side - dx2) <= margin:
-            continue
-        covered = False
-        for ball in balls:
-            d = _torus_delta((x, y), ball.center, g.R)
-            if math.hypot(d[0], d[1]) <= ball.radius:
-                covered = True
-                break
-        if not covered:
-            count += 1
-    return count
+    x = -g.R / 2 + flagged[:, 0] * g.h
+    y = -g.R / 2 + flagged[:, 1] * g.h
+    dx1 = (x + g.R / 2) % side
+    dx2 = (y + g.R / 2) % side
+    inner = np.minimum.reduce([dx1, side - dx1, dx2, side - dx2]) > margin
+    x, y = x[inner], y[inner]
+    # one ball at a time keeps memory O(sites); covered sites drop out
+    for ball in balls:
+        d = np.hypot(_torus_delta(x, ball.center[0], g.R), _torus_delta(y, ball.center[1], g.R))
+        uncovered = d > ball.radius
+        x, y = x[uncovered], y[uncovered]
+    return int(x.size)
 
 
 def supercurrent(field: DiscreteField) -> tuple[np.ndarray, np.ndarray]:
@@ -458,15 +460,43 @@ def uniform_measure(domain, density: float) -> DiscreteMeasure:
                            uniform_density=density)
 
 
-def _tent_pairing(mu: DiscreteMeasure, c, s) -> float:
-    total = 0.0
-    if mu.points.shape[0]:
-        r = np.hypot(mu.points[:, 0] - c[0], mu.points[:, 1] - c[1])
-        total += float(np.sum(mu.weights * np.maximum(0.0, s - r)))
+# atoms per block in _level_pairings: bounds its temporaries to a few MB
+_ATOM_CHUNK = 2**15
+
+
+def _level_pairings(mu: DiscreteMeasure, x_lo, y_lo, sx, sy, cx, cy, s) -> np.ndarray:
+    """<mu, tent> for every tent of one dyadic level, as an (nx, nx) array.
+
+    The tent (ii, jj) sits at (cx[ii], cy[jj]) with radius s[ii, jj] <= the
+    cell sides sx and sy, so an atom pairs to nonzero only with the tent of
+    its own cell or of the neighbour on its nearer side, per axis.
+    """
+    nx = len(cx)
+    sums = np.zeros(nx * nx)
+    s_flat = s.ravel()
+    for start in range(0, len(mu.weights), _ATOM_CHUNK):
+        px = mu.points[start:start + _ATOM_CHUNK, 0]
+        py = mu.points[start:start + _ATOM_CHUNK, 1]
+        w = mu.weights[start:start + _ATOM_CHUNK]
+        fx = (px - x_lo) / sx
+        fy = (py - y_lo) / sy
+        ix, iy = np.floor(fx), np.floor(fy)
+        near_x = ix + np.where(fx - ix >= 0.5, 1.0, -1.0)
+        near_y = iy + np.where(fy - iy >= 0.5, 1.0, -1.0)
+        for ci in (ix, near_x):
+            for cj in (iy, near_y):
+                inside = (ci >= 0) & (ci < nx) & (cj >= 0) & (cj < nx)
+                i = np.where(inside, ci, 0).astype(np.intp)
+                j = np.where(inside, cj, 0).astype(np.intp)
+                tent = i * nx + j
+                r = np.hypot(px - cx[i], py - cy[j])
+                term = np.where(inside, w * np.maximum(0.0, s_flat[tent] - r), 0.0)
+                sums += np.bincount(tent, term, minlength=nx * nx)
+    sums = sums.reshape(nx, nx)
     if mu.uniform_density:
         # exact cone integral: int (s - |x - c|)_+ dx = pi s^3 / 3
-        total += mu.uniform_density * math.pi * s**3 / 3.0
-    return total
+        sums += mu.uniform_density * math.pi * s**3 / 3.0
+    return sums
 
 
 def lipschitz_dual_distance(
@@ -482,6 +512,12 @@ def lipschitz_dual_distance(
     grids over the domain at scales down to side / 2^dictionary_depth.  The
     scale is clamped to the distance to the boundary so supports stay inside
     the open domain; the estimate is monotone in dictionary_depth.
+
+    A tent's radius is at most the side of its dyadic cell, so an atom lies
+    in the support of at most 4 tents per depth: per axis, the tent of its
+    own cell and the one of the neighbouring cell on the nearer side.  Each
+    depth therefore costs O(atoms + tents), not O(atoms * tents).  The
+    witness is the first maximum in (depth, ii, jj) order.
     """
     if dictionary_depth < 0:
         raise VortexError("empty dictionary")
@@ -493,20 +529,21 @@ def lipschitz_dual_distance(
     for depth in range(dictionary_depth + 1):
         nx = 2**depth
         sx, sy = Lx / nx, Ly / nx
-        scale = min(sx, sy)
-        for ii in range(nx):
-            for jj in range(nx):
-                cx = x_lo + (ii + 0.5) * sx
-                cy = y_lo + (jj + 0.5) * sy
-                s = min(scale, cx - x_lo, x_hi - cx, cy - y_lo, y_hi - cy)
-                if s <= 0.0:
-                    continue
-                count += 1
-                val = abs(_tent_pairing(mu_a, (cx, cy), s)
-                          - _tent_pairing(mu_b, (cx, cy), s))
-                if val > best:
-                    best = val
-                    witness = (cx, cy, s)
+        cx = x_lo + (np.arange(nx) + 0.5) * sx
+        cy = y_lo + (np.arange(nx) + 0.5) * sy
+        s = np.minimum(np.minimum(cx - x_lo, x_hi - cx)[:, None],
+                       np.minimum(cy - y_lo, y_hi - cy)[None, :])
+        s = np.minimum(s, min(sx, sy))
+        valid = s > 0.0
+        if not valid.any():
+            continue
+        count += int(np.count_nonzero(valid))
+        pa, pb = (_level_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, s) for mu in (mu_a, mu_b))
+        val = np.where(valid, np.abs(pa - pb), 0.0)
+        ii, jj = np.unravel_index(np.argmax(val), val.shape)
+        if val[ii, jj] > best:
+            best = float(val[ii, jj])
+            witness = (float(cx[ii]), float(cy[jj]), float(s[ii, jj]))
     if count == 0:
         raise VortexError("empty dictionary")
     return MeasureDistanceReport(

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from glcell.energy import DiscreteField
-from glcell.grid import CellConfig, WrapRule, build_grid
+from glcell.energy import DiscreteField, energy
+from glcell.grid import CellConfig, LinkPhases, WrapRule, build_grid, link_phases
 from glcell.snapshot import MAGIC, SnapshotError, read_snapshot, write_snapshot
+from glcell.trial import build_trial, trial_config
 
 
 def make_field(n=32, N=1, b=0.5, seed=0):
@@ -38,7 +39,8 @@ def test_header_format(tmp_path):
     head = blob[len(MAGIC):blob.index(b"\n")].decode("ascii")
     meta = json.loads(head)
     assert meta["version"] == 1
-    assert meta["layout"] == "row-major"
+    assert meta["layout"] == "column-major"
+    assert meta["alpha"] == 0.0 and meta["beta"] == 0.0
     assert meta["dtype"] == "f64le"
     assert meta["channels"] == ["re", "im"]
     assert meta["n"] == f.grid.n and meta["N"] == f.grid.N
@@ -73,4 +75,54 @@ def test_bad_magic_and_header(tmp_path):
         read_snapshot(p)
     p.write_bytes(MAGIC + b'{"version": 1}\n')
     with pytest.raises(SnapshotError, match="missing key"):
+        read_snapshot(p)
+
+
+def test_twisted_round_trip_keeps_energy(tmp_path):
+    b, N = 0.04, 4
+    g = build_grid(trial_config(b, N))
+    wrap = WrapRule(n=g.n, N=N, alpha=0.3, beta=-0.2)
+    f = DiscreteField(u=build_trial(b, N, g).u, grid=g, wrap=wrap)
+    p = tmp_path / "twisted.glc"
+    write_snapshot(p, f, b)
+    back, _ = read_snapshot(p)
+    assert (back.wrap.alpha, back.wrap.beta) == (0.3, -0.2)
+    assert energy(back, b).total == energy(f, b).total
+
+
+def test_custom_phases_refused(tmp_path):
+    f, b = make_field()
+    energy(f, b)  # fills in the default phases, which may be stored
+    write_snapshot(tmp_path / "default.glc", f, b)
+    ph = link_phases(f.grid)
+    custom = DiscreteField(u=f.u, grid=f.grid, wrap=f.wrap,
+                           phases=LinkPhases(theta_x=ph.theta_x + 0.01, theta_y=ph.theta_y))
+    with pytest.raises(SnapshotError, match="custom link phases"):
+        write_snapshot(tmp_path / "custom.glc", custom, b)
+
+
+def rewrite_header(path, edit):
+    blob = path.read_bytes()
+    nl = blob.index(b"\n")
+    meta = json.loads(blob[len(MAGIC):nl].decode("ascii"))
+    edit(meta)
+    path.write_bytes(MAGIC + json.dumps(meta).encode("ascii") + blob[nl:])
+
+
+def test_old_header_reads_untwisted(tmp_path):
+    # files from before the twists were stored: no alpha/beta, "row-major" label
+    f, b = make_field()
+    p = tmp_path / "old.glc"
+    write_snapshot(p, f, b)
+
+    def old(meta):
+        del meta["alpha"], meta["beta"]
+        meta["layout"] = "row-major"
+
+    rewrite_header(p, old)
+    back, _ = read_snapshot(p)
+    assert (back.wrap.alpha, back.wrap.beta) == (0.0, 0.0)
+    assert np.array_equal(back.u, f.u)
+    rewrite_header(p, lambda meta: meta.update(layout="j-fastest"))
+    with pytest.raises(SnapshotError, match="layout"):
         read_snapshot(p)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from glcell.energy import DiscreteField, energy
 from glcell.grid import TWO_PI, CellConfig, WrapRule, build_grid
@@ -9,7 +10,9 @@ from glcell.trial import build_trial, trial_config
 from glcell.vortices import (
     DiscreteMeasure,
     VortexError,
+    _components,
     _square_loop,
+    _torus_delta,
     cell_boundary_loop,
     classify_squares,
     coverage_gaps,
@@ -250,9 +253,159 @@ def test_dual_distance_empty_dictionary():
 
 
 def test_uniform_measure_pairing():
-    # background density integrates tents exactly: <leb, tent> = pi s^3/3
-    leb = uniform_measure((0.0, 1.0, 0.0, 1.0), 2.0)
-    from glcell.vortices import _tent_pairing
+    # background density integrates tents exactly: <leb, tent> = pi s^3/3;
+    # the depth-0 tent at the centre of the unit square has s = 1/2 and is the
+    # largest, so it is the witness at every depth
+    dom = (0.0, 1.0, 0.0, 1.0)
+    leb = uniform_measure(dom, 2.0)
+    empty = DiscreteMeasure(points=np.zeros((0, 2)), weights=np.zeros(0))
+    for depth in (0, 3):
+        rep = lipschitz_dual_distance(leb, empty, dom, depth)
+        assert abs(rep.estimate - 2.0 * math.pi * 0.5**3 / 3.0) < 1e-14
+        assert rep.witness == (0.5, 0.5, 0.5)
 
-    val = _tent_pairing(leb, (0.5, 0.5), 0.25)
-    assert abs(val - 2.0 * math.pi * 0.25**3 / 3.0) < 1e-14
+
+def reference_dual_distance(mu_a, mu_b, domain, depth):
+    """Every tent paired with every atom, one tent at a time."""
+
+    def pairing(mu, c, s):
+        total = 0.0
+        if mu.points.shape[0]:
+            r = np.hypot(mu.points[:, 0] - c[0], mu.points[:, 1] - c[1])
+            total += float(np.sum(mu.weights * np.maximum(0.0, s - r)))
+        if mu.uniform_density:
+            total += mu.uniform_density * math.pi * s**3 / 3.0
+        return total
+
+    x_lo, x_hi, y_lo, y_hi = domain
+    best, witness, count = 0.0, (0.0, 0.0, 0.0), 0
+    for d in range(depth + 1):
+        nx = 2**d
+        sx, sy = (x_hi - x_lo) / nx, (y_hi - y_lo) / nx
+        for ii in range(nx):
+            for jj in range(nx):
+                cx = x_lo + (ii + 0.5) * sx
+                cy = y_lo + (jj + 0.5) * sy
+                s = min(sx, sy, cx - x_lo, x_hi - cx, cy - y_lo, y_hi - cy)
+                if s <= 0.0:
+                    continue
+                count += 1
+                val = abs(pairing(mu_a, (cx, cy), s) - pairing(mu_b, (cx, cy), s))
+                if val > best:
+                    best, witness = val, (cx, cy, s)
+    return best, witness, f"radial tents, dyadic depths 0..{depth}, {count} elements"
+
+
+def dual_cases():
+    rng = np.random.default_rng(17)
+    square = (-2.0, 2.0, -2.0, 2.0)
+    wide = (-1.3, 2.1, -0.7, 0.9)
+    # square-domain dyadic edges and centres down to depth 6 (exact binary fractions)
+    edges = -2.0 + rng.integers(0, 65, (40, 2)) * (4.0 / 64)
+    centres = -2.0 + (rng.integers(0, 64, (40, 2)) + 0.5) * (4.0 / 64)
+    boundary = np.array([[-2.0, 0.3], [2.0, -1.1], [0.7, 2.0], [-0.4, -2.0], [2.0, 2.0],
+                         [2.5, 0.1], [-3.0, -3.0], [0.2, 2.0001], [10.0, -0.5]])
+    wide_edges = np.column_stack([wide[0] + rng.integers(0, 65, 30) * (3.4 / 64),
+                                  wide[2] + rng.integers(0, 65, 30) * (1.6 / 64)])
+
+    def atoms(points):
+        return DiscreteMeasure(points=points, weights=rng.normal(size=len(points)))
+
+    empty = DiscreteMeasure(points=np.zeros((0, 2)), weights=np.zeros(0))
+    return [
+        (atoms(rng.uniform(-2, 2, (200, 2))), atoms(rng.uniform(-2, 2, (50, 2))), square),
+        (atoms(edges), uniform_measure(square, 0.3), square),
+        (atoms(centres), atoms(edges), square),
+        (atoms(boundary), uniform_measure(square, -0.1), square),
+        (atoms(rng.uniform(-1.5, 2.3, (300, 2))), uniform_measure(wide, 1.7), wide),
+        (atoms(wide_edges), atoms(rng.uniform(-1.3, 2.1, (20, 2))), wide),
+        (empty, uniform_measure(wide, 0.5), wide),
+        (atoms(rng.uniform(-2, 2, (30, 2))), empty, square),
+        (empty, empty, square),
+    ]
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_dual_distance_matches_all_pairs_reference(case):
+    mu_a, mu_b, dom = dual_cases()[case]
+    for depth in range(7):
+        rep = lipschitz_dual_distance(mu_a, mu_b, dom, depth)
+        best, witness, dictionary = reference_dual_distance(mu_a, mu_b, dom, depth)
+        assert abs(rep.estimate - best) <= 1e-12 * abs(best)
+        assert rep.witness == witness
+        assert rep.dictionary == dictionary
+
+
+def reference_components(mask):
+    """Seam-merged components grouped site by site in a dict."""
+    labels, nlab = ndimage.label(mask)
+    parent = list(range(nlab + 1))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b in list(zip(labels[-1, :], labels[0, :])) + list(zip(labels[:, -1], labels[:, 0])):
+        if a and b and find(int(a)) != find(int(b)):
+            parent[find(int(a))] = find(int(b))
+    groups = {}
+    for i, j in np.argwhere(labels > 0):
+        groups.setdefault(find(int(labels[i, j])), []).append((int(i), int(j)))
+    return [np.array(g) for g in groups.values()]
+
+
+def test_components_match_dict_reference():
+    rng = np.random.default_rng(4)
+    for trial in range(40):
+        n = int(rng.integers(4, 30))
+        mask = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+        # bands through both seams join components across the wrap
+        mask[:, trial % n] |= trial % 3 == 0
+        mask[trial % n, :] |= trial % 4 == 0
+        got, want = _components(mask), reference_components(mask)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert _components(np.zeros((8, 8), dtype=bool)) == []
+
+
+def reference_gaps(field, balls, b):
+    """Every flagged site against every ball, one pair at a time."""
+    g = field.grid
+    side = g.R / int(round(math.sqrt(g.N)))
+    margin = math.sqrt(b)
+    count = 0
+    for i, j in np.argwhere(np.abs(np.abs(field.u) - 1.0) >= b ** (1.0 / 16.0)):
+        x = -g.R / 2 + i * g.h
+        y = -g.R / 2 + j * g.h
+        dx1 = (x + g.R / 2) % side
+        dx2 = (y + g.R / 2) % side
+        if min(dx1, side - dx1, dx2, side - dx2) <= margin:
+            continue
+        if not any(math.hypot(*_torus_delta((x, y), ball.center, g.R)) <= ball.radius
+                   for ball in balls):
+            count += 1
+    return count
+
+
+def test_coverage_gaps_counts_uncovered_defects():
+    # two wide modulus dips, one centred on the x-seam, at N=4 and b=0.1:
+    # their deep parts reach past the sqrt(b) margins of the squares
+    b, N, n = 0.1, 4, 128
+    g = build_grid(CellConfig(b=b, N=N, n=n))
+    X, Y = np.meshgrid(g.x1, g.x2, indexing="ij")
+    u = np.ones((n, n))
+    for cx, cy in ((-g.R / 2, 1.2), (-1.2, -1.3)):
+        r = np.hypot(_torus_delta(X, cx, g.R), Y - cy)
+        u *= np.minimum(1.0, (r / 1.2) ** 2)
+    f = DiscreteField(u=u.astype(complex), grid=g, wrap=WrapRule(n=n, N=N))
+    balls = find_balls(f, b)
+    assert len(balls) == 2
+    assert coverage_gaps(f, balls, b) == 0
+    seam = [ball for ball in balls if abs(abs(ball.center[0]) - g.R / 2) < ball.radius]
+    assert len(seam) == 1
+    for kept in ([balls[0]], [balls[1]], []):
+        gaps = coverage_gaps(f, kept, b)
+        assert gaps > 0
+        assert gaps == reference_gaps(f, kept, b)

@@ -16,12 +16,15 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .energy import DiscreteField, density_moments
 from .minimize import GCurvePoint, MinimizationResult, SolverSettings, estimate_g
+from .trial import trial_config
 from .vortices import (
     DiscreteMeasure,
     MeasureDistanceReport,
@@ -136,38 +139,46 @@ def build_sweep(points: list[GCurvePoint]) -> SweepReport:
             points[i].d_lower, points[i].d_upper = lower, upper
             if lower > upper + 1e-3:
                 rep.flags[b].append("bracket ordering violated beyond noise")
+    if len(points) == 1:
+        rep.flags[points[0].b].append("insufficient points for derivative bracket")
     return rep
 
 
 def run_sweep(
     b_values: list[float],
     N: int,
-    init_kinds: tuple[str, ...] = ("trial",),
     settings: SolverSettings | None = None,
     seed: int = 0,
-    n_random: int = 1,
     samples_per_core: int = 8,
-    shared_n: bool = True,
+    jobs: int = 1,
 ) -> SweepReport:
-    """Estimate g at each b and assemble the report.
+    """Estimate g at each b from the trial state and assemble the report.
 
-    With shared_n, every b uses the resolution demanded by the smallest b,
-    so discretization systematics largely cancel in the secant slopes.
+    Every b uses the resolution demanded by the smallest b, so
+    discretization systematics largely cancel in the secant slopes.  With
+    jobs > 1 the points run in that many worker processes, capped by the
+    GLCELL_THREADS environment variable; the results do not depend on jobs.
     """
+    if not b_values:
+        raise AnalysisError("sweep needs at least one b value")
     bs = sorted(b_values)
-    n_fixed = None
-    if shared_n:
-        from .trial import trial_config
+    n = trial_config(bs[0], N, samples_per_core=samples_per_core).n
+    cap = os.environ.get("GLCELL_THREADS")
+    if cap:
+        jobs = min(jobs, max(1, int(cap)))
+    point = partial(estimate_g, N_list=[N], init_kinds=("trial",), settings=settings,
+                    seed=seed, n=n)
+    if jobs > 1 and len(bs) > 1:
+        # imported here: these modules add ~35 ms to every start-up that
+        # never runs a pool (serial sweeps and all other commands)
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        n_fixed = trial_config(min(bs), N, samples_per_core=samples_per_core).n
-    points = []
-    for b in bs:
-        points.append(
-            estimate_g(
-                b, [N], init_kinds=init_kinds, settings=settings, seed=seed,
-                n_random=n_random, samples_per_core=samples_per_core, n=n_fixed,
-            )
-        )
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            points = list(pool.map(point, bs))
+    else:
+        points = [point(b) for b in bs]
     return build_sweep(points)
 
 
@@ -210,7 +221,7 @@ def sweep_to_json(report: SweepReport) -> str:
         "points": sweep_rows(report),
         "brackets": {repr(b): list(v) for b, v in report.brackets.items()},
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def zeta_trend_ok(report: SweepReport, noise: float = 0.1) -> bool:

@@ -1,24 +1,24 @@
 """Command-line interface: minimize, trial, vortices, sweep.
 
 Exit codes: 0 success (and convergence for minimize), 2 iteration budget
-exhausted, 1 any error.  All floating-point values in JSON outputs are
-printed with 17 significant digits so they round-trip to the exact float64.
+exhausted, 1 any error.  JSON outputs write each float in its repr form,
+the shortest decimal that reads back as the same float64, so values
+round-trip exactly; a non-finite value is an error, not a JSON extension.
 The GLCELL_THREADS environment variable caps parallel sweep workers.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
-from .analysis import build_sweep, potential_check, r0, sweep_to_csv, sweep_rows
+from .analysis import run_sweep, sweep_to_csv, sweep_to_json
+from .energy import DiscreteField, energy
 from .grid import CellConfig, ConfigError, build_grid
-from .minimize import MinimizationError, SolverSettings, estimate_g, init_state, minimize
+from .minimize import MinimizationError, SolverSettings, init_state, minimize
 from .snapshot import SnapshotError, read_snapshot, write_snapshot
 from .trial import TrialError, build_trial, predicted_density, trial_config
 from .vortices import classify_squares, find_balls, vorticity
@@ -28,35 +28,8 @@ EXIT_ERROR = 1
 EXIT_MAXITER = 2
 
 
-def _format_json(obj, indent=0) -> str:
-    """JSON with floats at 17 significant digits (lossless float64)."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_format_json(v, indent + 1)}'
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_format_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return format(obj, ".17g")
-        return json.dumps(str(obj))
-    if isinstance(obj, int):
-        return str(obj)
-    return json.dumps(obj)
-
-
 def _write_json(path, obj) -> None:
-    Path(path).write_text(_format_json(obj) + "\n")
+    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 _CONFIG_KEYS = {
@@ -86,12 +59,14 @@ def _cell_config(cfg: dict) -> CellConfig:
     n = cfg.get("n")
     if n is None:
         return trial_config(b, N, samples_per_core=int(cfg.get("samples_per_core", 8)),
-                            seed=int(cfg.get("seed", 0)),
-                            grad_tol=float(cfg.get("grad_tol", 1e-8)),
-                            max_iter=int(cfg.get("max_iter", 20000)))
-    return CellConfig(b=b, N=N, n=int(n), seed=int(cfg.get("seed", 0)),
-                      grad_tol=float(cfg.get("grad_tol", 1e-8)),
-                      max_iter=int(cfg.get("max_iter", 20000)))
+                            seed=int(cfg.get("seed", 0)))
+    return CellConfig(b=b, N=N, n=int(n), seed=int(cfg.get("seed", 0)))
+
+
+def _solver_settings(cfg: dict) -> SolverSettings:
+    default = SolverSettings()
+    return SolverSettings(grad_tol=float(cfg.get("grad_tol", default.grad_tol)),
+                          max_iter=int(cfg.get("max_iter", default.max_iter)))
 
 
 def cmd_minimize(args) -> int:
@@ -99,9 +74,8 @@ def cmd_minimize(args) -> int:
     config = _cell_config(cfg)
     outdir = Path(cfg.get("out", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    settings = SolverSettings(grad_tol=config.grad_tol, max_iter=config.max_iter)
     kind = cfg.get("init", "uniform")
-    res = minimize(init_state(kind, config), config.b, settings, init_label=kind)
+    res = minimize(init_state(kind, config), config.b, _solver_settings(cfg), init_label=kind)
     write_snapshot(outdir / "field.glc", res.field, config.b)
     _write_json(outdir / "result.json", {
         "b": config.b, "N": config.N, "n": config.n, "seed": config.seed,
@@ -129,8 +103,6 @@ def cmd_trial(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     grid = build_grid(config)
     field = build_trial(config.b, config.N, grid)
-    from .energy import energy
-
     g_trial = energy(field, config.b).total / grid.area
     predicted = predicted_density(config.b)
     report = {
@@ -160,7 +132,7 @@ def cmd_vortices(args) -> int:
     reports = classify_squares(field, b, C_star=c_star, balls=balls)
     with open(outdir / "squares.jsonl", "w") as fh:
         for rep in reports:
-            fh.write(_format_json({
+            fh.write(json.dumps({
                 "index": rep.index,
                 "bounds": list(rep.bounds),
                 "energy": rep.energy,
@@ -170,21 +142,13 @@ def cmd_vortices(args) -> int:
                 "d_total": rep.d_total,
                 "radius_total": rep.radius_total,
                 "radius_budget_exceeded": rep.radius_budget_exceeded,
-            }).replace("\n", " ") + "\n")
+            }, allow_nan=False) + "\n")
     vf = vorticity(field)
-    from .energy import DiscreteField
-
     mu_field = DiscreteField(u=vf.mu.astype(complex), grid=field.grid, wrap=field.wrap)
     write_snapshot(outdir / "vorticity.glc", mu_field, b)
     print(f"{len(balls)} balls, total degree "
           f"{sum(ball.degree for ball in balls)}, mass {vf.total_mass:.8f}")
     return EXIT_OK
-
-
-def _sweep_point(task):
-    b, N, kinds, settings, seed, n = task
-    return estimate_g(b, [N], init_kinds=kinds, settings=settings, seed=seed,
-                      n_random=1, n=n)
 
 
 def cmd_sweep(args) -> int:
@@ -194,39 +158,14 @@ def cmd_sweep(args) -> int:
         b_values = [float(x) for x in b_values.split(",")]
     elif isinstance(b_values, float):
         b_values = [b_values]
-    if not b_values:
-        raise ConfigError("sweep needs at least one b value")
-    b_values = sorted(b_values)
-    N = int(cfg.get("N", 1))
     outdir = Path(cfg.get("out", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    settings = SolverSettings(grad_tol=float(cfg.get("grad_tol", 1e-8)),
-                              max_iter=int(cfg.get("max_iter", 20000)))
-    seed = int(cfg.get("seed", 0))
-    from .trial import trial_config as _tc
-
-    n_shared = _tc(min(b_values), N,
-                   samples_per_core=int(cfg.get("samples_per_core", 8))).n
-    jobs = int(cfg.get("jobs", 1))
-    cap = os.environ.get("GLCELL_THREADS")
-    if cap:
-        jobs = min(jobs, max(1, int(cap)))
-    tasks = [(b, N, ("trial",), settings, seed, n_shared) for b in b_values]
-    if jobs > 1 and len(tasks) > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_sweep_point, tasks))
-    else:
-        points = [_sweep_point(t) for t in tasks]
-    report = build_sweep(points)
-    if len(points) == 1:
-        report.flags[points[0].b].append("insufficient points for derivative bracket")
+    report = run_sweep(b_values, int(cfg.get("N", 1)), settings=_solver_settings(cfg),
+                       seed=int(cfg.get("seed", 0)),
+                       samples_per_core=int(cfg.get("samples_per_core", 8)),
+                       jobs=int(cfg.get("jobs", 1)))
     (outdir / "sweep.csv").write_text(sweep_to_csv(report))
-    _write_json(outdir / "sweep.json", {
-        "points": sweep_rows(report),
-        "brackets": {format(b, ".17g"): list(v) for b, v in report.brackets.items()},
-    })
+    (outdir / "sweep.json").write_text(sweep_to_json(report) + "\n")
     if getattr(args, "report", None) == "acceptance":
         _print_acceptance_table(report)
     print(f"wrote {outdir / 'sweep.csv'}")
@@ -262,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *b_aliases, **b_options):
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--b", type=float)
+        p.add_argument("--b", *b_aliases, **b_options)
         p.add_argument("--N", type=int)
         p.add_argument("--n", type=int)
         p.add_argument("--seed", type=int)
@@ -273,12 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out")
 
     p_min = sub.add_parser("minimize", help="minimize the cell energy")
-    common(p_min)
+    common(p_min, type=float)
     p_min.add_argument("--init", choices=["uniform", "random", "trial", "zero"])
     p_min.set_defaults(func=cmd_minimize, requires_b=True)
 
     p_tr = sub.add_parser("trial", help="build the vortex-lattice trial state")
-    common(p_tr)
+    common(p_tr, type=float)
     p_tr.set_defaults(func=cmd_trial, requires_b=True)
 
     p_vx = sub.add_parser("vortices", help="detect vortices in a snapshot")
@@ -289,9 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vx.set_defaults(func=cmd_vortices, requires_b=False)
 
     p_sw = sub.add_parser("sweep", help="g(b) sweep over several b values")
-    common(p_sw)
-    p_sw.add_argument("--b-list", dest="b_list",
-                      help="comma-separated b values (alias: --b with commas)")
+    common(p_sw, "--b-list", dest="b_list", help="comma-separated b values")
     p_sw.add_argument("--jobs", type=int)
     p_sw.add_argument("--report", choices=["acceptance"])
     p_sw.set_defaults(func=cmd_sweep, requires_b=True)
@@ -300,12 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # allow comma lists through --b for the sweep subcommand
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "sweep":
-        for k, a in enumerate(argv):
-            if a == "--b" and k + 1 < len(argv) and "," in argv[k + 1]:
-                argv[k] = "--b-list"
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

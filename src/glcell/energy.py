@@ -113,9 +113,6 @@ class EnergyBreakdown:
     def total(self) -> float:
         return self.kinetic + self.potential + self.offset
 
-    def per_area(self, area: float) -> float:
-        return self.total / area
-
 
 def _accurate_sum(a: np.ndarray) -> float:
     # compensated accumulation: exact fsum over pairwise-summed rows

@@ -34,8 +34,6 @@ class CellConfig:
     N: int
     n: int
     seed: int = 0
-    grad_tol: float = 1e-8
-    max_iter: int = 20000
 
     def __post_init__(self):
         if not (0.0 < self.b < 1.0):
@@ -127,14 +125,6 @@ class WrapRule:
     N: int
     alpha: float = 0.0
     beta: float = 0.0
-
-    def phase_units_x(self, j: int) -> int:
-        """x-wrap flux phase at height index j, in units of pi/(2n) (mod 4n)."""
-        return (self.N * (2 * j - self.n)) % (4 * self.n)
-
-    def phase_units_y(self, i: int) -> int:
-        """y-wrap flux phase at column index i, in units of pi/(2n) (mod 4n)."""
-        return (-self.N * (2 * i - self.n)) % (4 * self.n)
 
     def factor_x(self, j) -> complex | np.ndarray:
         """Phase factor for u(x1 + R, x2(j)) = factor * u(x1, x2(j))."""

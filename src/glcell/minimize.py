@@ -24,6 +24,7 @@ from scipy import fft
 from .energy import (
     DiscreteField,
     EnergyBreakdown,
+    density_moments,
     energy,
     energy_and_gradient,
     gradient,
@@ -31,7 +32,7 @@ from .energy import (
     redot,
 )
 from .grid import CellConfig, WrapRule, build_grid, choose_n
-from .trial import build_trial, predicted_density, trial_config
+from .trial import build_trial, trial_config
 
 SIGMA = 2.0  # potential shift of the preconditioner, in units of 2 h^2
 
@@ -82,9 +83,6 @@ class GCurvePoint:
     d_lower: float | None = None
     d_upper: float | None = None
     potential_moment: float | None = None
-    f1: float | None = None
-    f2: float | None = None
-    f3: float | None = None
     zeta: float | None = None
     per_N: list = field(default_factory=list)   # (N, g_est) sequence
     flags: list = field(default_factory=list)
@@ -316,19 +314,9 @@ def estimate_g(
     if g_est >= -1e-9:
         flags.append("likely not converged to ground state")
     grid = best_result.field.grid
-    from .energy import covariant_differences, density_moments
-
-    m2, m4, mpot = density_moments(best_result.field)
-    dx, dy = covariant_differences(best_result.field)
-    kin_density = float(np.sum(np.abs(dx) ** 2 + np.abs(dy) ** 2)) / grid.area
-    gp_model = -0.5 * math.log(b)
+    _, _, mpot = density_moments(best_result.field)
     zeta = (g_est + 0.5 + 0.5 * b * math.log(b)) / (b * math.log(b))
-    point = GCurvePoint(
+    return GCurvePoint(
         b=b, N=N_list[-1], R=grid.R, n=grid.n, g_est=g_est, g_trial=g_trial,
-        potential_moment=mpot,
-        f1=kin_density - gp_model,
-        f2=m2 - (b * gp_model - 2.0 * g_est),
-        f3=m4 - (-2.0 * g_est),
-        zeta=zeta, per_N=per_N, flags=flags,
+        potential_moment=mpot, zeta=zeta, per_N=per_N, flags=flags,
     )
-    return point

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import DiscreteField
-from .grid import CellConfig, Grid, WrapRule, build_grid, link_phases
+from .energy import DiscreteField, energy
+from .grid import CellConfig, Grid, LinkPhases, WrapRule, link_phases
 
 TWO_PI = 2.0 * math.pi
 CELL_SIDE = math.sqrt(TWO_PI)  # side of the unit cell Q1, |Q1| = 2*pi
@@ -43,10 +43,6 @@ class CellGreen:
     values: np.ndarray = field(repr=False)       # (m, m) h at sites
     spectrum: np.ndarray = field(repr=False)     # (m, m) complex FFT coefficients
     pole_index: tuple[int, int] = (0, 0)         # site index of a1 (cell center)
-
-    @property
-    def pole(self) -> tuple[float, float]:
-        return (0.0, 0.0)
 
     def coords(self) -> np.ndarray:
         return -CELL_SIDE / 2 + self.hc * np.arange(self.m)
@@ -245,8 +241,6 @@ def build_trial(
         theta_x = ph.theta_x + phase.alpha * grid.h / grid.R
         theta_y = ph.theta_y + phase.beta * grid.h / grid.R
         wrap = WrapRule(n=grid.n, N=N, alpha=phase.alpha, beta=phase.beta)
-        from .grid import LinkPhases
-
         return DiscreteField(
             u=v, grid=grid, wrap=wrap, phases=LinkPhases(theta_x=theta_x, theta_y=theta_y)
         )
@@ -267,8 +261,6 @@ def predicted_density(b: float) -> float:
 
 def verify_upper_bound(b: float, N: int, grid: Grid, c_tol: float = 5.0) -> dict:
     """Compare the trial-state energy density with b*|log sqrt(b)| - 1/2."""
-    from .energy import energy
-
     u = build_trial(b, N, grid)
     g_trial = energy(u, b).total / grid.area
     predicted = predicted_density(b)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .energy import DiscreteField, covariant_differences
-from .grid import TWO_PI, link_phases, plaquette_fluxes, wrap_value
+from .grid import TWO_PI, plaquette_fluxes, wrap_value
 
 
 class VortexError(ValueError):
@@ -445,15 +445,6 @@ def vorticity_measure(vf: VorticityField) -> DiscreteMeasure:
     return DiscreteMeasure(points=pts, weights=vf.mu.ravel().astype(float))
 
 
-def ball_measure(balls, weight_scale: float = TWO_PI) -> DiscreteMeasure:
-    """Sum of weight_scale * degree * delta at ball centers."""
-    if not balls:
-        return DiscreteMeasure(points=np.zeros((0, 2)), weights=np.zeros(0))
-    pts = np.array([b.center for b in balls], dtype=float)
-    w = weight_scale * np.array([b.degree for b in balls], dtype=float)
-    return DiscreteMeasure(points=pts, weights=w)
-
-
 def uniform_measure(domain, density: float) -> DiscreteMeasure:
     """Uniform background measure on the rectangular domain (handled exactly)."""
     return DiscreteMeasure(points=np.zeros((0, 2)), weights=np.zeros(0),
@@ -521,6 +512,10 @@ def lipschitz_dual_distance(
     """
     if dictionary_depth < 0:
         raise VortexError("empty dictionary")
+    for mu in (mu_a, mu_b):
+        if not (np.isfinite(mu.points).all() and np.isfinite(mu.weights).all()
+                and math.isfinite(mu.uniform_density)):
+            raise VortexError("measure has a non-finite atom point, weight or density")
     x_lo, x_hi, y_lo, y_hi = domain
     Lx, Ly = x_hi - x_lo, y_hi - y_lo
     best = 0.0

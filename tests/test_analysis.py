@@ -85,6 +85,12 @@ def test_build_sweep_report():
     assert not any(rep.flags[b] for b in bs)
 
 
+def test_build_sweep_single_point_flagged():
+    rep = build_sweep([model_point(0.02)])
+    assert rep.flags[0.02] == ["insufficient points for derivative bracket"]
+    assert not rep.brackets
+
+
 def test_sweep_ordering_enforced():
     with pytest.raises(AnalysisError, match="increasing"):
         SweepReport(points=[model_point(0.02), model_point(0.01)])

@@ -1,9 +1,12 @@
+import concurrent.futures
 import json
 import re
 
 import pytest
 
-from glcell.cli import EXIT_ERROR, EXIT_MAXITER, EXIT_OK, _format_json, main
+from glcell.cli import EXIT_ERROR, EXIT_MAXITER, EXIT_OK, main
+from glcell.energy import energy
+from glcell.snapshot import read_snapshot
 
 
 def run(args, capsys):
@@ -103,7 +106,8 @@ def test_vortices_corrupted_payload(tmp_path, capsys):
     assert "payload length mismatch" in err
 
 
-def test_sweep_csv(tmp_path, capsys):
+def test_sweep_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GLCELL_THREADS", raising=False)
     out = tmp_path / "sw"
     code, _, _ = run(["sweep", "--b", "0.2,0.25", "--N", "1",
                       "--out", str(out)], capsys)
@@ -111,6 +115,25 @@ def test_sweep_csv(tmp_path, capsys):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "b,N,n,g_est,g_trial,d_lower,d_upper,pot,r0,zeta,flags"
     assert len(lines) == 3
+    # the same points from two worker processes: the same bytes
+    code, _, _ = run(["sweep", "--b", "0.2,0.25", "--N", "1", "--jobs", "2",
+                      "--out", str(tmp_path / "sw2")], capsys)
+    assert code == EXIT_OK
+    assert (tmp_path / "sw2" / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+
+
+def test_sweep_threads_cap_runs_serially(tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("GLCELL_THREADS=1 must not start a process pool")
+
+    monkeypatch.setenv("GLCELL_THREADS", "1")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "sw"
+    code, _, _ = run(["sweep", "--b-list", "0.2,0.25", "--N", "1", "--jobs", "2",
+                      "--out", str(out)], capsys)
+    assert code == EXIT_OK
+    sweep = json.loads((out / "sweep.json").read_text())
+    assert [p["b"] for p in sweep["points"]] == [0.2, 0.25]
 
 
 def test_sweep_single_b_flagged(tmp_path, capsys):
@@ -142,8 +165,11 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
     assert "unknown config keys" in err
 
 
-def test_json_float_precision():
-    x = 0.1 + 0.2
-    text = _format_json({"v": x})
-    assert format(x, ".17g") in text
-    assert float(format(x, ".17g")) == x  # lossless round-trip
+def test_json_float_precision(tmp_path, capsys):
+    # report.json must carry g_trial to the last bit of the written snapshot
+    code, _, _ = run(["trial", "--b", "0.25", "--N", "1", "--n", "48",
+                      "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    field, b = read_snapshot(tmp_path / "field.glc")
+    assert report["g_trial"] == energy(field, b).total / field.grid.area

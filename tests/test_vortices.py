@@ -252,6 +252,26 @@ def test_dual_distance_empty_dictionary():
         lipschitz_dual_distance(a, a, (0.0, 1.0, 0.0, 1.0), -1)
 
 
+def test_dual_distance_rejects_nonfinite_measures():
+    # a NaN weight used to compare false everywhere and report estimate 0.0
+    dom = (0.0, 1.0, 0.0, 1.0)
+    rng = np.random.default_rng(4)
+    points, weights = rng.uniform(0.0, 1.0, (20, 2)), rng.uniform(0.5, 1.5, 20)
+    leb = uniform_measure(dom, 1.0)
+    nan_weight = weights.copy()
+    nan_weight[7] = np.nan
+    inf_point = points.copy()
+    inf_point[3, 1] = np.inf
+    bad = [
+        (DiscreteMeasure(points=points, weights=nan_weight), leb),
+        (DiscreteMeasure(points=inf_point, weights=weights), leb),
+        (DiscreteMeasure(points=points, weights=weights), uniform_measure(dom, np.nan)),
+    ]
+    for mu_a, mu_b in bad:
+        with pytest.raises(VortexError, match="non-finite"):
+            lipschitz_dual_distance(mu_a, mu_b, dom, 3)
+
+
 def test_uniform_measure_pairing():
     # background density integrates tents exactly: <leb, tent> = pi s^3/3;
     # the depth-0 tent at the centre of the unit square has s = 1/2 and is the

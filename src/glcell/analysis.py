@@ -184,7 +184,7 @@ def run_sweep(
 
 _CSV_COLUMNS = [
     "b", "N", "n", "g_est", "g_trial", "d_lower", "d_upper", "pot", "r0",
-    "zeta", "flags",
+    "zeta", "iterations", "stop_reason", "flags",
 ]
 
 
@@ -202,6 +202,8 @@ def sweep_rows(report: SweepReport) -> list[dict]:
             "pot": p.potential_moment,
             "r0": report.r0_values.get(p.b),
             "zeta": p.zeta,
+            "iterations": p.iterations,
+            "stop_reason": p.stop_reason,
             "flags": ";".join(report.flags.get(p.b, [])),
         })
     return rows

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy import ndimage
 
 from .energy import DiscreteField, covariant_differences
 from .grid import TWO_PI, plaquette_fluxes, wrap_value
@@ -172,41 +171,43 @@ def enclosing_disk(points, rng=None) -> tuple[tuple[float, float], float]:
 
 
 def _components(mask: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a boolean mask, periodic across both seams."""
-    labels, nlab = ndimage.label(mask)
-    if nlab == 0:
+    """Connected components of a boolean mask, periodic across both seams.
+
+    4-connected labelling of the flagged sites by root hooking and pointer
+    jumping (Shiloach and Vishkin, J. Algorithms 3, 1982): each round hooks
+    the larger of two adjacent roots onto the smaller, then jumps pointers
+    until every site points at its root.  A root is never hooked onto a larger
+    index, so each component's root is its first site in row-major order.
+    Components come in the order of their first sites, with their sites in
+    row-major order.
+    """
+    i, j = np.nonzero(mask)
+    if i.size == 0:
         return []
-    parent = list(range(nlab + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for a, b in zip(labels[-1, :], labels[0, :]):
-        if a and b:
-            union(int(a), int(b))
-    for a, b in zip(labels[:, -1], labels[:, 0]):
-        if a and b:
-            union(int(a), int(b))
-    root = np.array([find(a) for a in range(nlab + 1)])
-    sites = np.argwhere(labels > 0)
-    # group by root, in order of each group's first site; the stable sort
-    # keeps the sites of a group in row-major order
-    roots, first, inverse, counts = np.unique(
-        root[labels[labels > 0]], return_index=True, return_inverse=True, return_counts=True
-    )
-    appearance = np.argsort(first)
-    rank = np.empty_like(appearance)
-    rank[appearance] = np.arange(len(roots))
-    order = np.argsort(rank[inverse], kind="stable")
-    return np.split(sites[order], np.cumsum(counts[appearance])[:-1])
+    site = np.arange(i.size)
+    index = np.full(mask.shape, -1, dtype=np.intp)
+    index[i, j] = site
+    below = np.roll(index, -1, axis=0)[i, j]
+    right = np.roll(index, -1, axis=1)[i, j]
+    a = np.concatenate([site[below >= 0], site[right >= 0]])
+    b = np.concatenate([below[below >= 0], right[right >= 0]])
+    parent = np.arange(i.size)
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            break
+        # sites joined once stay joined, so their edges need no further rounds
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    order = np.argsort(parent, kind="stable")
+    sites = np.column_stack([i, j])[order]
+    return np.split(sites, np.flatnonzero(np.diff(parent[order])) + 1)
 
 
 def _component_disk(comp: np.ndarray, grid) -> tuple[tuple[float, float], float]:

@@ -100,7 +100,7 @@ def test_sweep_serialization_columns():
     rep = build_sweep([model_point(b) for b in (0.015, 0.02, 0.025)])
     csv_text = sweep_to_csv(rep)
     header = csv_text.splitlines()[0]
-    assert header == "b,N,n,g_est,g_trial,d_lower,d_upper,pot,r0,zeta,flags"
+    assert header == "b,N,n,g_est,g_trial,d_lower,d_upper,pot,r0,zeta,iterations,stop_reason,flags"
     assert len(csv_text.splitlines()) == 4
     js = sweep_to_json(rep)
     assert '"points"' in js and '"brackets"' in js

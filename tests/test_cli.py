@@ -1,9 +1,14 @@
 import concurrent.futures
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import glcell
 from glcell.cli import EXIT_ERROR, EXIT_MAXITER, EXIT_OK, main
 from glcell.energy import energy
 from glcell.snapshot import read_snapshot
@@ -113,13 +118,15 @@ def test_sweep_csv(tmp_path, capsys, monkeypatch):
                       "--out", str(out)], capsys)
     assert code == EXIT_OK
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "b,N,n,g_est,g_trial,d_lower,d_upper,pot,r0,zeta,flags"
+    assert lines[0] == "b,N,n,g_est,g_trial,d_lower,d_upper,pot,r0,zeta,iterations,stop_reason,flags"
     assert len(lines) == 3
     # the same points from two worker processes: the same bytes
     code, _, _ = run(["sweep", "--b", "0.2,0.25", "--N", "1", "--jobs", "2",
                       "--out", str(tmp_path / "sw2")], capsys)
     assert code == EXIT_OK
     assert (tmp_path / "sw2" / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+    for point in json.loads((out / "sweep.json").read_text())["points"]:
+        assert point["stop_reason"] == "converged" and point["iterations"] > 0
 
 
 def test_sweep_threads_cap_runs_serially(tmp_path, capsys, monkeypatch):
@@ -173,3 +180,15 @@ def test_json_float_precision(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     field, b = read_snapshot(tmp_path / "field.glc")
     assert report["g_trial"] == energy(field, b).total / field.grid.area
+
+
+def test_import_loads_no_scipy():
+    # scipy costs ~0.4 s and ~20 MB at start-up; glcell needs only numpy
+    src = str(Path(glcell.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, glcell, glcell.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

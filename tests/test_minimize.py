@@ -8,6 +8,8 @@ from glcell.grid import CellConfig, build_grid, wrap_value
 from glcell.minimize import (
     MinimizationError,
     SolverSettings,
+    _kinetic_preconditioner,
+    _precondition,
     estimate_g,
     init_state,
     minimize,
@@ -126,14 +128,29 @@ def test_stop_reason_line_search_failed_at_round_off():
 
 def test_nonfinite_step_raises_minimization_error():
     # |u|^2 = 1e80 keeps the energy and gradient finite, but |d|^4 in the
-    # line search overflows.  Relative to |G| ~ 1e160 the gradient is tiny,
-    # so only grad_tol = 0 takes the run into its first line search.
+    # line search overflows.  The gradient is tiny next to |G| ~ 3e160, so
+    # this also checks that the stopping test caps |G| at the cell area
+    # instead of calling the state converged after 0 iterations.
     init = init_state("uniform", CFG)
     init.u *= 1e40
     with np.errstate(all="ignore"), pytest.raises(MinimizationError) as info:
-        minimize(init, B, SolverSettings(grad_tol=0.0))
+        minimize(init, B)
     assert info.value.diagnostics["stop_reason"] == "diverged"
     assert info.value.diagnostics["iteration"] == 1
+
+
+@pytest.mark.parametrize("n", [204, 360])
+def test_precondition_matches_2d_fft(n):
+    rng = np.random.default_rng(n)
+    grad = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    before = grad.copy()
+    symbol = _kinetic_preconditioner(n, 0.05, 0.2)
+    out = np.empty_like(grad)
+    got = _precondition(grad, symbol, out)
+    want = np.fft.ifft2(np.fft.fft2(before) * symbol)
+    assert got is out
+    assert np.array_equal(grad, before)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def magnetic_translate(f, p, q):

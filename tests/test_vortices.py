@@ -383,11 +383,46 @@ def test_components_match_dict_reference():
         # bands through both seams join components across the wrap
         mask[:, trial % n] |= trial % 3 == 0
         mask[trial % n, :] |= trial % 4 == 0
-        got, want = _components(mask), reference_components(mask)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_same_components(mask)
     assert _components(np.zeros((8, 8), dtype=bool)) == []
+
+
+def assert_same_components(mask):
+    got, want = _components(mask), reference_components(mask)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def snake_mask(n):
+    """One path through every other row, kept off the column seam, whose
+    last turn closes it across the row seam."""
+    m = np.zeros((n, n), dtype=bool)
+    m[::2, 1:-1] = True
+    m[1::4, -2] = True
+    m[3::4, 1] = True
+    return m
+
+
+def checkerboard_mask(n):
+    # isolated sites for even n; for odd n the seams join diagonal chains
+    return (np.add.outer(np.arange(n), np.arange(n)) % 2).astype(bool)
+
+
+def corner_blob_mask(n):
+    # one disk about site (0, 0): four pieces, joined across both seams
+    d = np.minimum(np.arange(n), n - np.arange(n))
+    m = np.add.outer(d**2, d**2) < (n // 5) ** 2
+    m[n // 2, n // 2 - 2:n // 2 + 3] = True
+    return m
+
+
+@pytest.mark.parametrize("mask", [
+    snake_mask(568), np.ones((40, 40), dtype=bool), np.ones((1, 1), dtype=bool),
+    checkerboard_mask(24), checkerboard_mask(25), corner_blob_mask(60),
+], ids=["snake568", "all", "single", "checker24", "checker25", "corner_blob"])
+def test_components_periodic_shapes(mask):
+    assert_same_components(mask)
 
 
 def reference_gaps(field, balls, b):

@@ -35,12 +35,10 @@ from .grid import (
     CellConfig,
     ConfigError,
     Grid,
-    LinkPhases,
     WrapRule,
     build_grid,
     choose_n,
     link_phases,
-    plaquette_fluxes,
     wrap_value,
 )
 from .minimize import (
@@ -61,7 +59,6 @@ from .trial import (
     predicted_density,
     solve_cell_green,
     trial_config,
-    verify_upper_bound,
 )
 from .vortices import (
     DiscreteMeasure,

@@ -226,17 +226,6 @@ def sweep_to_json(report: SweepReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
-def zeta_trend_ok(report: SweepReport, noise: float = 0.1) -> bool:
-    """|zeta| should not grow as b decreases, within the declared noise."""
-    pts = report.points
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if lo.zeta is None or hi.zeta is None:
-            continue
-        if abs(lo.zeta) > abs(hi.zeta) + noise:
-            return False
-    return True
-
-
 @dataclass
 class TileAggregate:
     """M x M scaled copies of one cell result on a synthetic square domain."""

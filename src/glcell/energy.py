@@ -5,8 +5,9 @@ the covariant difference cancels the h^2 area weight), which is exactly
 gauge invariant.  Potential term per site: (h^2/2) (1 - |u|^2)^2.  The
 -(1/2)|K_R| offset is kept symbolic rather than summed per site.
 
-Every covariant difference goes through one CellOperator per field, built on
-first use and cached on the field (DiscreteField.operator).
+The connection is a function of the field's grid and wrap rule alone
+(grid.connection).  Every covariant difference goes through one CellOperator
+per field, built on first use and cached on the field (DiscreteField.operator).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Grid, LinkPhases, WrapRule, connection, link_phases
+from .grid import Grid, WrapRule, connection
 
 
 class EnergyError(ValueError):
@@ -32,9 +33,9 @@ class CellOperator:
     `evaluations` counts applications of D and Dt.
     """
 
-    def __init__(self, grid: Grid, wrap: WrapRule, phases: LinkPhases):
-        self.grid, self.wrap, self.phases = grid, wrap, phases
-        self.cx, self.cy = connection(phases, grid, wrap)
+    def __init__(self, grid: Grid, wrap: WrapRule):
+        self.grid, self.wrap = grid, wrap
+        self.cx, self.cy = connection(grid, wrap)
         self.evaluations = 0
 
     def D(self, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -76,30 +77,22 @@ class DiscreteField:
     u: np.ndarray = field(repr=False)  # (n, n) complex128, u[i, j]
     grid: Grid
     wrap: WrapRule
-    phases: LinkPhases | None = None  # custom connection; None = A0 link phases
     _operator: CellOperator | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "DiscreteField":
         out = replace(self, u=self.u.copy())
-        out._operator = self._operator  # valid while grid, wrap and phases are shared
+        out._operator = self._operator  # valid while grid and wrap are shared
         return out
 
-    def link_phases(self) -> LinkPhases:
-        if self.phases is None:
-            self.phases = link_phases(self.grid)
-        return self.phases
-
     def operator(self) -> CellOperator:
-        """The cell operator of this field's grid, wrap and phases, built once.
+        """The cell operator of this field's grid and wrap rule, built once.
 
-        It is rebuilt whenever any of the three is no longer the object it was
-        built from, so a replaced wrap or connection never meets a stale one.
+        It is rebuilt whenever either is no longer the object it was built
+        from, so a replaced grid or wrap never meets a stale connection.
         """
-        phases = self.link_phases()
         op = self._operator
-        if op is None or op.grid is not self.grid or op.wrap is not self.wrap \
-                or op.phases is not phases:
-            op = self._operator = CellOperator(self.grid, self.wrap, phases)
+        if op is None or op.grid is not self.grid or op.wrap is not self.wrap:
+            op = self._operator = CellOperator(self.grid, self.wrap)
         return op
 
 
@@ -119,49 +112,23 @@ def _accurate_sum(a: np.ndarray) -> float:
     return math.fsum(np.sum(a, axis=0))
 
 
-def covariant_differences(
-    field: DiscreteField, boundary: str = "wrap"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-link differences u(x+he) e^{-i theta} - u(x).
-
-    boundary="wrap" closes the seam links with the magnetic-periodic ghost
-    values (the energy used everywhere for minimization).  boundary="open"
-    drops the seam links, giving the Dirichlet-style energy of the open cell;
-    use it to compare smooth non-periodic profiles (e.g. u = 1, whose
-    open-cell kinetic energy is the b * integral |A0|^2 = b R^4 / 24 of the
-    continuum, up to O(h^2)) against closed-form values.
-    """
-    if boundary not in ("wrap", "open"):
-        raise EnergyError(f"unknown boundary mode: {boundary!r}")
-    dx, dy = field.operator().D(field.u)
-    if boundary == "open":
-        dx[-1, :] = 0.0
-        dy[:, -1] = 0.0
-    return dx, dy
+def covariant_differences(field: DiscreteField) -> tuple[np.ndarray, np.ndarray]:
+    """Per-link differences u(x+he) e^{-i theta} - u(x), seam links closed
+    with the magnetic-periodic ghost values."""
+    return field.operator().D(field.u)
 
 
-def energy(field: DiscreteField, b: float, boundary: str = "wrap") -> EnergyBreakdown:
+def energy(field: DiscreteField, b: float) -> EnergyBreakdown:
     if not (0.0 < b < 1.0):
         raise EnergyError(f"b out of range: {b}")
     if not np.all(np.isfinite(field.u)):
         raise EnergyError("non-finite field values")
     g = field.grid
-    dx, dy = covariant_differences(field, boundary=boundary)
+    dx, dy = covariant_differences(field)
     kinetic = b * (_accurate_sum(np.abs(dx) ** 2) + _accurate_sum(np.abs(dy) ** 2))
     rho2 = np.abs(field.u) ** 2
     potential = 0.5 * g.h**2 * _accurate_sum((1.0 - rho2) ** 2)
     return EnergyBreakdown(kinetic=kinetic, potential=potential, offset=-0.5 * g.area)
-
-
-def energy_quartic_form(field: DiscreteField, b: float) -> float:
-    """Same total via the |u|^4 form: b|Du|^2 - |u|^2 + |u|^4/2 (consistency check)."""
-    g = field.grid
-    dx, dy = covariant_differences(field)
-    kinetic = b * (_accurate_sum(np.abs(dx) ** 2) + _accurate_sum(np.abs(dy) ** 2))
-    rho2 = np.abs(field.u) ** 2
-    return kinetic + g.h**2 * (
-        0.5 * _accurate_sum(rho2**2) - _accurate_sum(rho2)
-    )
 
 
 def redot(a: np.ndarray, c: np.ndarray) -> float:

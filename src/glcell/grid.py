@@ -1,4 +1,4 @@
-"""Magnetic-periodic square cell: grid, background link phases, wrap rules.
+"""Magnetic-periodic square cell: grid, background link phases, wrap rule.
 
 The cell is K_R = (-R/2, R/2)^2 with R^2 = 2*pi*N, discretized by n samples
 per side (spacing h = R/n).  The background potential is
@@ -10,6 +10,11 @@ exp(i*R*x2/2), crossing the top edge by exp(-i*R*x1/2).  Those phases are
 exact multiples of pi/(2n) (R*x2(j)/2 = pi*N*(2j - n)/(2n)), so the wrap
 cocycle is tracked in integer units of pi/(2n) and the two wrap orders
 agree exactly.
+
+The wrap rule is written once, in WrapRule.ghost_factors, which takes index
+arrays.  wrap_value reads the magnetic-periodic extension through it, and
+connection folds its seam values into the link factors of the one torus
+connection that the solver and the analysis share.
 """
 
 from __future__ import annotations
@@ -83,9 +88,6 @@ class Grid:
     def area(self) -> float:
         return self.R * self.R
 
-    def coords(self, i: int, j: int) -> tuple[float, float]:
-        return (-self.R / 2 + i * self.h, -self.R / 2 + j * self.h)
-
 
 def build_grid(config: CellConfig) -> Grid:
     n, R = config.n, config.R
@@ -94,22 +96,17 @@ def build_grid(config: CellConfig) -> Grid:
     return Grid(n=n, N=config.N, R=R, h=h, x1=x, x2=x.copy())
 
 
-@dataclass(frozen=True)
-class LinkPhases:
-    """Line integrals of A0 along +x and +y links (midpoint rule, exact)."""
+def link_phases(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(theta_x, theta_y): line integrals of A0 along the +x and +y links.
 
-    theta_x: np.ndarray = field(repr=False)  # (n, n), link from (i,j) to (i+1,j)
-    theta_y: np.ndarray = field(repr=False)  # (n, n), link from (i,j) to (i,j+1)
-
-
-def link_phases(grid: Grid) -> LinkPhases:
-    # A0 is affine, so the midpoint rule is exact:
-    #   x-link: int A0_x dx1 = -x2/2 * h (x2 constant on the link)
-    #   y-link: int A0_y dx2 =  x1/2 * h
+    theta_x[i, j] belongs to the link from (i, j) to (i+1, j), theta_y[i, j]
+    to the link from (i, j) to (i, j+1).  A0 is affine, so the midpoint rule
+    is exact: -x2/2 * h on x-links (x2 constant on the link), x1/2 * h on
+    y-links.  Both are read-only (n, n) broadcast views.
+    """
     n, h = grid.n, grid.h
-    theta_x = np.broadcast_to(-grid.x2 * h / 2.0, (n, n)).copy()
-    theta_y = np.broadcast_to((grid.x1 * h / 2.0)[:, None], (n, n)).copy()
-    return LinkPhases(theta_x=theta_x, theta_y=theta_y)
+    return (np.broadcast_to(-grid.x2 * h / 2.0, (n, n)),
+            np.broadcast_to((grid.x1 * h / 2.0)[:, None], (n, n)))
 
 
 @dataclass(frozen=True)
@@ -126,92 +123,44 @@ class WrapRule:
     alpha: float = 0.0
     beta: float = 0.0
 
-    def factor_x(self, j) -> complex | np.ndarray:
-        """Phase factor for u(x1 + R, x2(j)) = factor * u(x1, x2(j))."""
-        units = (self.N * (2 * np.asarray(j) - self.n)) % (4 * self.n)
-        return np.exp(1j * (math.pi * units / (2 * self.n) + self.alpha))
+    def ghost_factors(self, i, j) -> np.ndarray:
+        """Factors relating u at integer indices (i, j) to u[i % n, j % n].
 
-    def factor_y(self, i) -> complex | np.ndarray:
-        """Phase factor for u(x1(i), x2 + R) = factor * u(x1(i), x2)."""
-        units = (-self.N * (2 * np.asarray(i) - self.n)) % (4 * self.n)
-        return np.exp(1j * (math.pi * units / (2 * self.n) + self.beta))
-
-    def ghost_phase(self, i: int, j: int) -> complex:
-        """Total phase relating u at arbitrary integer (i, j) to the cell value.
-
-        Canonical reduction order: x first (at unreduced j), then y (at the
-        reduced i).  The opposite order differs by an exact multiple of 2*pi
-        in the integer units, so both yield the same factor.
+        i and j are integer arrays (or ints) and broadcast.  Canonical
+        reduction order: x first (at unreduced j), then y (at the reduced i).
+        The opposite order differs by an exact multiple of 2*pi in the integer
+        units, so both give the same factor.  Inside the cell the factor is 1.
         """
         n = self.n
-        p, i0 = divmod(i, n)
-        q, j0 = divmod(j, n)
+        p, i0 = np.divmod(i, n)
+        q = np.floor_divide(j, n)
         units = (p * self.N * (2 * j - n) - q * self.N * (2 * i0 - n)) % (4 * n)
-        extra = p * self.alpha + q * self.beta
-        return complex(np.exp(1j * (math.pi * units / (2 * n) + extra)))
+        return np.exp(1j * (math.pi * units / (2 * n) + (p * self.alpha + q * self.beta)))
 
 
-def wrap_value(u: np.ndarray, wrap: WrapRule, i: int, j: int) -> complex:
-    """Value of the magnetic-periodic extension of u at integer index (i, j)."""
-    n = wrap.n
-    i0, j0 = i % n, j % n
-    if i0 == i and j0 == j:
-        return complex(u[i, j])
-    return wrap.ghost_phase(i, j) * complex(u[i0, j0])
+def wrap_value(u: np.ndarray, wrap: WrapRule, i, j) -> np.ndarray:
+    """Values of the magnetic-periodic extension of u at integer indices (i, j).
 
-
-def boundary_factors(grid: Grid, wrap: WrapRule) -> tuple[np.ndarray, np.ndarray]:
-    """(bx, by): ghost factors for the +x seam (per j) and +y seam (per i)."""
-    idx = np.arange(grid.n)
-    return np.asarray(wrap.factor_x(idx)), np.asarray(wrap.factor_y(idx))
-
-
-def effective_link_phases(
-    phases: LinkPhases, grid: Grid, wrap: WrapRule
-) -> tuple[np.ndarray, np.ndarray]:
-    """Torus connection phases: link phases with the seam wrap folded in.
-
-    The covariant difference across the seam reads
-    u(0, j) * bx(j) * exp(-i theta_x) - u(n-1, j), so the effective phase on
-    that link is theta_x - arg(bx).  With these phases the cell is a plain
-    periodic U(1) lattice gauge field.
+    i and j are integer arrays (or ints) and broadcast; the result has their
+    broadcast shape.
     """
-    bx, by = boundary_factors(grid, wrap)
-    phi_x = phases.theta_x.copy()
-    phi_y = phases.theta_y.copy()
-    phi_x[-1, :] -= np.angle(bx)
-    phi_y[:, -1] -= np.angle(by)
-    return phi_x, phi_y
+    return wrap.ghost_factors(i, j) * u[np.mod(i, wrap.n), np.mod(j, wrap.n)]
 
 
-def connection(
-    phases: LinkPhases, grid: Grid, wrap: WrapRule
-) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(-i phi_x), exp(-i phi_y)) of the effective link phases.
+def connection(grid: Grid, wrap: WrapRule) -> tuple[np.ndarray, np.ndarray]:
+    """(cx, cy) = (exp(-i theta_x), exp(-i theta_y)) with the seam wrap folded in.
 
-    The seam wrap factors are multiplied into the unit link factors once, so
-    the covariant difference on every link, seam included, is c * u(tip) - u.
+    The ghost factors of the sites one step past the +x seam (per j) and the
+    +y seam (per i) are multiplied into the unit link factors once, so the
+    covariant difference on every link, seam included, is c * u(tip) - u, and
+    the cell is a plain periodic U(1) lattice gauge field whose plaquette
+    holonomies are all h^2 mod 2*pi.
     """
-    bx, by = boundary_factors(grid, wrap)
-    cx = np.exp(-1j * phases.theta_x)
-    cx[-1, :] *= bx
-    cy = np.exp(-1j * phases.theta_y)
-    cy[:, -1] *= by
+    n = grid.n
+    idx = np.arange(n)
+    theta_x, theta_y = link_phases(grid)
+    cx = np.exp(-1j * theta_x)
+    cx[-1, :] *= wrap.ghost_factors(n, idx)
+    cy = np.exp(-1j * theta_y)
+    cy[:, -1] *= wrap.ghost_factors(idx, n)
     return cx, cy
-
-
-def plaquette_fluxes(phases: LinkPhases, grid: Grid, wrap: WrapRule) -> np.ndarray:
-    """Oriented phase sum around each plaquette, reduced to (-pi, pi].
-
-    Interior plaquettes carry exactly h^2 (curl A0 = 1); seam plaquettes
-    carry h^2 modulo 2 pi, so after reduction every plaquette reads h^2 and
-    the total over the cell is R^2 = 2 pi N.
-    """
-    phi_x, phi_y = effective_link_phases(phases, grid, wrap)
-    raw = (
-        phi_x
-        + np.roll(phi_y, -1, axis=0)
-        - np.roll(phi_x, -1, axis=1)
-        - phi_y
-    )
-    return raw - TWO_PI * np.round(raw / TWO_PI)

@@ -9,7 +9,7 @@ The header carries the wrap twists alpha and beta, so a field in a twisted
 magnetic-periodic space reads back with its energy.  Files written before the
 twists were stored read back with alpha = beta = 0, and files whose layout
 label says "row-major" (the old, wrong name of the same i-fastest order) read
-as usual.  A field with a custom connection (`phases`) cannot be stored.
+as usual.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import DiscreteField
-from .grid import CellConfig, WrapRule, build_grid, link_phases
+from .grid import CellConfig, WrapRule, build_grid
 
 MAGIC = b"GLCELL1"
 LAYOUTS = ("column-major", "row-major")
@@ -67,19 +67,8 @@ def _payload(u: np.ndarray) -> bytes:
     return flat.astype("<c16").tobytes()
 
 
-def _has_custom_phases(field: DiscreteField) -> bool:
-    if field.phases is None:
-        return False
-    default = link_phases(field.grid)
-    return not (np.array_equal(field.phases.theta_x, default.theta_x)
-                and np.array_equal(field.phases.theta_y, default.theta_y))
-
-
 def write_snapshot(path, field: DiscreteField, b: float) -> None:
-    """Write the field and b; raises SnapshotError for a custom connection,
-    which the format cannot hold."""
-    if _has_custom_phases(field):
-        raise SnapshotError("cannot store a field with custom link phases")
+    """Write the field, its wrap twists and b."""
     g = field.grid
     header = SnapshotHeader(
         version=1, R=g.R, n=g.n, b=b, N=g.N, alpha=field.wrap.alpha, beta=field.wrap.beta,

@@ -1,19 +1,22 @@
 """Periodic vortex-lattice trial state.
 
-Construction: on the unit cell Q1 of area 2*pi, solve the periodic Green
-problem Delta h = 2*pi*delta_{a1} - 1 (so h = log|x - a1| + smooth near the
+Construction: on the unit cell Q1 of area 2*pi, the periodic Green function
+h solves Delta h = 2*pi*delta_{a1} - 1 (so h = log|x - a1| + smooth near the
 pole).  The multivalued phase phi satisfies grad phi = perp-grad h + A0 and
 winds by +1 around every pole.  The modulus is the cutoff
 rho(x) = min(1, |x - a1|/core_radius); the default core_radius = 2*sqrt(b)
 keeps the O(b) remainder of the energy comfortably small.
-The twisted state v = rho e^{i phi} lies in the (alpha, beta)-twisted
-magnetic-periodic space; the gauge map u = e^{-i(alpha x1 + beta x2)/R} v
-lands in the untwisted space with identical energy.
+The state v = rho e^{i phi} lies in the (alpha, beta)-twisted
+magnetic-periodic space; build_trial returns its gauge image
+u = e^{-i(alpha x1 + beta x2)/R} v, which lies in the untwisted space with
+identical energy.
 
 Discretely the phase is built from a dual-lattice stream function whose
 five-point Laplacian carries the Dirac mass on a single plaquette, so every
 plaquette curl of the total connection is exactly 2*pi*(pole indicator) and
 the wrap mismatches are exactly constant along each edge (alpha, beta).
+The spectral CellGreen solve of the continuum problem is not needed for the
+state; it serves the ring checks of the Green function's log singularity.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import DiscreteField, energy
-from .grid import CellConfig, Grid, LinkPhases, WrapRule, link_phases
+from .energy import DiscreteField
+from .grid import CellConfig, Grid, WrapRule, link_phases
 
 TWO_PI = 2.0 * math.pi
 CELL_SIDE = math.sqrt(TWO_PI)  # side of the unit cell Q1, |Q1| = 2*pi
@@ -146,7 +149,7 @@ def _dual_stream_function(m: int, hc: float) -> np.ndarray:
     return np.real(np.fft.ifft2(spec))
 
 
-def build_phase(green: CellGreen, grid: Grid, N: int) -> PhaseField:
+def build_phase(grid: Grid, N: int) -> PhaseField:
     """Phase with grad phi = perp-grad h + A0, integrated along a comb tree."""
     n = grid.n
     k = int(round(math.sqrt(N)))
@@ -157,8 +160,6 @@ def build_phase(green: CellGreen, grid: Grid, N: int) -> PhaseField:
     m = n // k
     if m % 2:
         raise TrialError(f"samples per cell side must be even, got {m}")
-    if abs(grid.h - green.hc) > 1e-12 * grid.h or green.m != m:
-        raise TrialError("cell green resolution does not match the grid")
 
     H = _dual_stream_function(m, grid.h)
     H = np.tile(H, (k, k))  # periodic tiling over the N cells
@@ -166,9 +167,9 @@ def build_phase(green: CellGreen, grid: Grid, N: int) -> PhaseField:
     # perp-grad part: x-link between plaquettes below/above, y-link left/right
     cx = -(H - np.roll(H, 1, axis=1))
     cy = H - np.roll(H, 1, axis=0)
-    ph = link_phases(grid)
-    omega_x = cx + ph.theta_x
-    omega_y = cy + ph.theta_y
+    theta_x, theta_y = link_phases(grid)
+    omega_x = cx + theta_x
+    omega_y = cy + theta_y
 
     # comb spanning tree: along row j=0, then up each column
     phi = np.empty((n, n))
@@ -213,65 +214,23 @@ def cutoff_profile(grid: Grid, N: int, core_radius: float) -> np.ndarray:
 
 
 def build_trial(
-    b: float,
-    N: int,
-    grid: Grid,
-    green: CellGreen | None = None,
-    core_radius: float | None = None,
-    twisted: bool = False,
+    b: float, N: int, grid: Grid, core_radius: float | None = None
 ) -> DiscreteField:
-    """Gauged vortex-lattice trial state u in the untwisted magnetic-periodic space.
-
-    With twisted=True, returns instead the state v in the (alpha, beta)-twisted
-    space together with its gauge-shifted connection, which has the same energy.
-    """
+    """Gauged vortex-lattice trial state u in the untwisted magnetic-periodic space."""
     if core_radius is None:
         core_radius = 2.0 * math.sqrt(b)
-    if green is None:
-        green = solve_cell_green(grid.n // int(round(math.sqrt(N))))
-    phase = build_phase(green, grid, N)
+    phase = build_phase(grid, N)
     rho = cutoff_profile(grid, N, core_radius)
     v = rho * np.exp(1j * phase.phi)
     v[phase.pole_sites[:, 0], phase.pole_sites[:, 1]] = 0.0  # rho = 0 at the poles
-    if twisted:
-        # connection gauge-shifted by chi = -(alpha x1 + beta x2)/R:
-        # energy(e^{i chi} v; theta) = energy(v; theta - d chi) with
-        # d chi = -alpha h / R per x-link
-        ph = link_phases(grid)
-        theta_x = ph.theta_x + phase.alpha * grid.h / grid.R
-        theta_y = ph.theta_y + phase.beta * grid.h / grid.R
-        wrap = WrapRule(n=grid.n, N=N, alpha=phase.alpha, beta=phase.beta)
-        return DiscreteField(
-            u=v, grid=grid, wrap=wrap, phases=LinkPhases(theta_x=theta_x, theta_y=theta_y)
-        )
     chi = -(phase.alpha * grid.x1[:, None] + phase.beta * grid.x2[None, :]) / grid.R
     u = np.exp(1j * chi) * v
     return DiscreteField(u=u, grid=grid, wrap=WrapRule(n=grid.n, N=N))
 
 
-def trial_phase(b: float, N: int, grid: Grid) -> PhaseField:
-    green = solve_cell_green(grid.n // int(round(math.sqrt(N))))
-    return build_phase(green, grid, N)
-
-
 def predicted_density(b: float) -> float:
     """Leading upper-bound density b*|log sqrt(b)| - 1/2."""
     return b * abs(math.log(math.sqrt(b))) - 0.5
-
-
-def verify_upper_bound(b: float, N: int, grid: Grid, c_tol: float = 5.0) -> dict:
-    """Compare the trial-state energy density with b*|log sqrt(b)| - 1/2."""
-    u = build_trial(b, N, grid)
-    g_trial = energy(u, b).total / grid.area
-    predicted = predicted_density(b)
-    gap = g_trial - predicted
-    return {
-        "g_trial": g_trial,
-        "predicted": predicted,
-        "gap": gap,
-        "pass": abs(gap) <= c_tol * b,
-        "c_tol": c_tol,
-    }
 
 
 def trial_config(b: float, N: int, samples_per_core: int = 8, **kw) -> CellConfig:

@@ -8,6 +8,10 @@ from the winding of u/|u| along a surrounding lattice loop.  The cell tiles
 into N congruent squares of area 2*pi which are classified good or bad by
 their local energy, and the vorticity measure mu = curl j + curl A0 always
 carries total mass 2*pi*N by telescoping.
+
+Everything here reads the field's own connection: covariant differences go
+through its cell operator, and loop values through grid.wrap_value, one
+array call per loop.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .energy import DiscreteField, covariant_differences
-from .grid import TWO_PI, plaquette_fluxes, wrap_value
+from .grid import TWO_PI, wrap_value
 
 
 class VortexError(ValueError):
@@ -82,16 +86,20 @@ class MeasureDistanceReport:
 def winding(field: DiscreteField, loop) -> int:
     """Winding of u/|u| along a closed lattice path of integer (i, j) pairs.
 
-    Indices may lie outside the fundamental cell; ghost values then pick up
-    the wrap phases, so the total winding along the cell boundary counts the
-    quantized flux.
+    loop is a sequence of pairs or a (k, 2) array.  Indices may lie outside
+    the fundamental cell; ghost values then pick up the wrap phases, so the
+    total winding along the cell boundary counts the quantized flux.
     """
-    pts = list(loop)
+    pts = np.asarray(loop)
     if len(pts) < 3:
         raise VortexError("loop too short")
-    if pts[0] != pts[-1]:
-        pts = pts + [pts[0]]
-    vals = np.array([wrap_value(field.u, field.wrap, i, j) for i, j in pts])
+    if (pts[0] != pts[-1]).any():
+        pts = np.vstack([pts, pts[:1]])
+    return _loop_degree(wrap_value(field.u, field.wrap, pts[:, 0], pts[:, 1]))
+
+
+def _loop_degree(vals: np.ndarray) -> int:
+    """Winding number of the closed sequence of values vals (vals[-1] == vals[0])."""
     if np.min(np.abs(vals)) < 1e-12:
         raise VortexError("degree undefined: loop touches a zero")
     total = float(np.sum(np.angle(vals[1:] / vals[:-1])))
@@ -102,13 +110,19 @@ def winding(field: DiscreteField, loop) -> int:
     return deg
 
 
-def cell_boundary_loop(n: int) -> list[tuple[int, int]]:
+def _box_loop(lo_i: int, lo_j: int, side: int) -> np.ndarray:
+    """Closed counterclockwise lattice loop around the square with lower-left
+    corner (lo_i, lo_j) and the given side, as a (4 side + 1, 2) index array."""
+    up = np.arange(side)
+    edge, zero = np.full(side, side), np.zeros(side, int)
+    i = np.concatenate([up, edge, side - up, zero, [0]])
+    j = np.concatenate([zero, up, edge, side - up, [0]])
+    return np.column_stack([lo_i + i, lo_j + j])
+
+
+def cell_boundary_loop(n: int) -> np.ndarray:
     """Counterclockwise lattice loop along the cell boundary (uses ghosts)."""
-    loop = [(i, 0) for i in range(n + 1)]
-    loop += [(n, j) for j in range(1, n + 1)]
-    loop += [(i, n) for i in range(n - 1, -1, -1)]
-    loop += [(0, j) for j in range(n - 1, -1, -1)]
-    return loop
+    return _box_loop(0, 0, n)
 
 
 def _torus_delta(p, q, R):
@@ -216,6 +230,13 @@ def _component_disk(comp: np.ndarray, grid) -> tuple[tuple[float, float], float]
     # unwrap indices to the nearest periodic image of the reference site
     di = (comp[:, 0] - ref[0] + n // 2) % n - n // 2
     dj = (comp[:, 1] - ref[1] + n // 2) % n - n // 2
+    if np.ptp(di) >= n // 2 or np.ptp(dj) >= n // 2:
+        # a component this wide may wrap around the torus: no disk in the
+        # plane stands for it, and its degree would not be a vortex count
+        raise VortexError(
+            f"a component of {comp.shape[0]} sites spans half the cell or more; "
+            "it cannot be unwrapped onto one disk (is the threshold above max |u|?)"
+        )
     xs = -R / 2 + (ref[0] + di) * h
     ys = -R / 2 + (ref[1] + dj) * h
     c, r = enclosing_disk(np.column_stack([xs, ys]))
@@ -254,28 +275,22 @@ def _merge_disks(disks, R, clearance):
     return disks
 
 
-def _square_loop(center, radius, grid) -> list[tuple[int, int]]:
+def _square_loop(center, radius, grid) -> np.ndarray:
     h, R = grid.h, grid.R
     ic = int(round((center[0] + R / 2) / h))
     jc = int(round((center[1] + R / 2) / h))
     rs = max(1, int(math.ceil(radius / h)) + 1)
-    lo_i, hi_i = ic - rs, ic + rs
-    lo_j, hi_j = jc - rs, jc + rs
-    loop = [(i, lo_j) for i in range(lo_i, hi_i + 1)]
-    loop += [(hi_i, j) for j in range(lo_j + 1, hi_j + 1)]
-    loop += [(i, hi_j) for i in range(hi_i - 1, lo_i - 1, -1)]
-    loop += [(lo_i, j) for j in range(hi_j - 1, lo_j - 1, -1)]
-    return loop
+    return _box_loop(ic - rs, jc - rs, 2 * rs)
 
 
 def _ball_degree(field: DiscreteField, center, radius, threshold) -> int:
     for grow in range(8):
         loop = _square_loop(center, radius + grow * field.grid.h, field.grid)
-        vals = [abs(wrap_value(field.u, field.wrap, i, j)) for i, j in loop]
-        if min(vals) >= threshold:
-            return winding(field, loop)
-    # no clean contour found at moderate growth: accept any nonzero contour
-    return winding(field, loop)
+        vals = wrap_value(field.u, field.wrap, loop[:, 0], loop[:, 1])
+        if np.min(np.abs(vals)) >= threshold:
+            break
+    # without a clean contour at moderate growth, accept the last nonzero one
+    return _loop_degree(vals)
 
 
 def find_balls(
@@ -423,16 +438,17 @@ def supercurrent(field: DiscreteField) -> tuple[np.ndarray, np.ndarray]:
 def vorticity(field: DiscreteField) -> VorticityField:
     """Vorticity mu = curl j + curl A0 per plaquette; total mass 2*pi*N.
 
-    curl j telescopes to zero over the periodic cell, so the total is the
-    quantized flux R^2 = 2*pi*N for every field.
+    Every plaquette of the connection, seams and wrap twists included, has
+    holonomy h^2 mod 2*pi, so curl A0 adds exactly h^2.  curl j telescopes to
+    zero over the periodic cell, so the total is the quantized flux
+    R^2 = 2*pi*N for every field.
     """
     g = field.grid
     jx, jy = supercurrent(field)
     circ = g.h * (
         jx + np.roll(jy, -1, axis=0) - np.roll(jx, -1, axis=1) - jy
     )
-    flux = plaquette_fluxes(field.link_phases(), g, field.wrap)
-    mu = circ + flux
+    mu = circ + g.h**2
     return VorticityField(mu=mu, total_mass=math.fsum(np.sum(mu, axis=0)),
                           h=g.h, R=g.R)
 

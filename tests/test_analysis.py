@@ -14,10 +14,9 @@ from glcell.analysis import (
     r0,
     sweep_to_csv,
     sweep_to_json,
-    zeta_trend_ok,
 )
 from glcell.energy import DiscreteField
-from glcell.grid import CellConfig, WrapRule, build_grid
+from glcell.grid import WrapRule, build_grid
 from glcell.minimize import GCurvePoint
 from glcell.trial import build_trial, trial_config
 from glcell.vortices import VortexBall
@@ -104,17 +103,6 @@ def test_sweep_serialization_columns():
     assert len(csv_text.splitlines()) == 4
     js = sweep_to_json(rep)
     assert '"points"' in js and '"brackets"' in js
-
-
-def test_zeta_trend():
-    pts = [model_point(b) for b in (0.015, 0.02, 0.025)]
-    for p, z in zip(pts, (0.05, 0.1, 0.2)):
-        p.zeta = z
-    assert zeta_trend_ok(build_sweep(pts))
-    pts2 = [model_point(b) for b in (0.015, 0.02, 0.025)]
-    for p, z in zip(pts2, (0.5, 0.1, 0.05)):
-        p.zeta = z
-    assert not zeta_trend_ok(build_sweep(pts2))
 
 
 def uniform_field(b=0.1, N=4):

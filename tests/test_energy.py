@@ -11,12 +11,11 @@ from glcell.energy import (
     covariant_differences,
     density_moments,
     energy,
-    energy_quartic_form,
     gradient,
     line_quartic,
     redot,
 )
-from glcell.grid import CellConfig, LinkPhases, WrapRule, build_grid, link_phases, wrap_value
+from glcell.grid import CellConfig, WrapRule, build_grid, link_phases, wrap_value
 
 TWIST = (0.3, -0.7)  # wrap twists (alpha, beta)
 
@@ -43,6 +42,20 @@ def test_zero_field_energy_and_gradient():
     assert np.max(np.abs(gradient(f, 0.5))) == 0.0
 
 
+def energy_quartic_form(field, b):
+    """The total via the |u|^4 form: b|Du|^2 - |u|^2 + |u|^4/2, fsum-accumulated."""
+    dx, dy = covariant_differences(field)
+    kinetic = b * (math.fsum((np.abs(dx) ** 2).ravel()) + math.fsum((np.abs(dy) ** 2).ravel()))
+    rho2 = (np.abs(field.u) ** 2).ravel()
+    return kinetic + field.grid.h**2 * (0.5 * math.fsum(rho2**2) - math.fsum(rho2))
+
+
+def open_kinetic(field, b):
+    """Kinetic energy of the open cell: the seam links dropped."""
+    dx, dy = covariant_differences(field)
+    return b * (np.sum(np.abs(dx[:-1]) ** 2) + np.sum(np.abs(dy[:, :-1]) ** 2))
+
+
 def test_energy_forms_agree():
     for seed in range(3):
         f = make_field(seed=seed)
@@ -57,19 +70,19 @@ def test_uniform_field_open_energy_matches_riemann_sum():
         f = make_field(n=n, kind="ones")
         g = f.grid
         b = 0.5
-        bd = energy(f, b, boundary="open")
+        kinetic = open_kinetic(f, b)
         tx = -g.x2 * g.h / 2.0
         ty = g.x1 * g.h / 2.0
         riemann = b * (
             (g.n - 1) * np.sum(tx**2) + (g.n - 1) * np.sum(ty**2)
         )
-        assert abs(bd.kinetic - riemann) < bound
+        assert abs(kinetic - riemann) < bound
     # and converges to the continuum value b R^4/24 - R^2/2 as h -> 0
     diffs = []
     for n in (32, 64, 128):
         f = make_field(n=n, kind="ones")
         g = f.grid
-        total = energy(f, 0.5, boundary="open").total
+        total = open_kinetic(f, 0.5) - 0.5 * g.area  # potential is 0 at |u| = 1
         cont = 0.5 * g.R**4 / 24.0 - g.R**2 / 2.0
         diffs.append(abs(total - cont))
     assert diffs[2] < diffs[1] < diffs[0]
@@ -79,14 +92,7 @@ def test_uniform_field_open_energy_matches_riemann_sum():
 def test_wrap_energy_counts_seam_links():
     f = make_field(kind="ones")
     closed = energy(f, 0.5).kinetic
-    open_ = energy(f, 0.5, boundary="open").kinetic
-    assert closed > open_  # the wrap-extended u=1 pays a seam cost
-
-
-def test_bad_boundary_mode():
-    f = make_field()
-    with pytest.raises(EnergyError, match="boundary"):
-        energy(f, 0.5, boundary="free")
+    assert closed > open_kinetic(f, 0.5)  # the wrap-extended u=1 pays a seam cost
 
 
 def test_nonfinite_rejected():
@@ -155,15 +161,12 @@ def test_covariant_difference_gauge_covariance():
 
 
 def reference_differences(f):
-    """D u link by link from the magnetic-periodic extension (wrap_value)."""
-    n = f.grid.n
-    th = link_phases(f.grid)
-    dx = np.empty_like(f.u)
-    dy = np.empty_like(f.u)
-    for i in range(n):
-        for j in range(n):
-            dx[i, j] = wrap_value(f.u, f.wrap, i + 1, j) * np.exp(-1j * th.theta_x[i, j]) - f.u[i, j]
-            dy[i, j] = wrap_value(f.u, f.wrap, i, j + 1) * np.exp(-1j * th.theta_y[i, j]) - f.u[i, j]
+    """D u from the magnetic-periodic extension (wrap_value) and the link phases."""
+    theta_x, theta_y = link_phases(f.grid)
+    i = np.arange(f.grid.n)[:, None]
+    j = np.arange(f.grid.n)[None, :]
+    dx = wrap_value(f.u, f.wrap, i + 1, j) * np.exp(-1j * theta_x) - f.u
+    dy = wrap_value(f.u, f.wrap, i, j + 1) * np.exp(-1j * theta_y) - f.u
     return dx, dy
 
 
@@ -174,9 +177,6 @@ def test_operator_matches_reference_at_twisted_wrap():
     assert np.max(np.abs(dx - ref_x)) < 1e-13 and np.max(np.abs(dy - ref_y)) < 1e-13
     cx, cy = covariant_differences(f)
     assert np.array_equal(cx, dx) and np.array_equal(cy, dy)
-    ox, oy = covariant_differences(f, boundary="open")
-    assert np.array_equal(ox[:-1], dx[:-1]) and not ox[-1].any()
-    assert np.array_equal(oy[:, :-1], dy[:, :-1]) and not oy[:, -1].any()
 
 
 def test_operator_adjoint():
@@ -208,7 +208,7 @@ def test_line_quartic_is_exact():
         assert abs(exact - quartic) <= 1e-12 * max(abs(e0), abs(exact), 1.0)
 
 
-def test_replaced_wrap_or_phases_never_reuse_connection():
+def test_replaced_wrap_never_reuses_connection():
     b = 0.5
     twisted = WrapRule(n=32, N=1, alpha=TWIST[0], beta=TWIST[1])
     f = make_field(seed=7)
@@ -220,7 +220,6 @@ def test_replaced_wrap_or_phases_never_reuse_connection():
     f.wrap = twisted
     assert energy(f, b).total == expected
     assert np.array_equal(gradient(f, b), gradient(fresh, b))
-    # a gauge-shifted connection changes the energy of the same samples
-    ph = link_phases(f.grid)
-    f.phases = LinkPhases(theta_x=ph.theta_x + 0.2, theta_y=ph.theta_y)
-    assert energy(f, b).total != expected
+    # so is a replaced grid, even one with equal values
+    f.grid = build_grid(CellConfig(b=0.5, N=1, n=32))
+    assert f.operator().grid is f.grid and energy(f, b).total == expected

@@ -3,18 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from glcell.grid import (
-    TWO_PI,
-    CellConfig,
-    ConfigError,
-    WrapRule,
-    boundary_factors,
-    build_grid,
-    choose_n,
-    link_phases,
-    plaquette_fluxes,
-    wrap_value,
-)
+from glcell.energy import DiscreteField
+from glcell.grid import TWO_PI, CellConfig, ConfigError, WrapRule, build_grid, choose_n, wrap_value
 
 
 def test_config_validation():
@@ -43,16 +33,21 @@ def test_grid_coords():
     g = build_grid(CellConfig(b=0.5, N=4, n=64))
     assert g.x1[0] == -g.R / 2
     assert abs(g.x1[1] - g.x1[0] - g.h) < 1e-15
-    assert g.coords(0, 0) == (-g.R / 2, -g.R / 2)
     # the cell is half-open: the last site is one spacing short of R/2
     assert abs(g.x1[-1] - (g.R / 2 - g.h)) < 1e-12
 
 
 def test_plaquette_fluxes_exact():
-    for N in (1, 4):
+    # every plaquette of the solver's connection, seams and twists included,
+    # has holonomy h^2 mod 2 pi
+    for N, twist in ((1, (0.0, 0.0)), (4, (0.0, 0.0)), (4, (0.3, -1.1))):
         g = build_grid(CellConfig(b=0.5, N=N, n=96))
-        wrap = WrapRule(n=g.n, N=N)
-        F = plaquette_fluxes(link_phases(g), g, wrap)
+        wrap = WrapRule(n=g.n, N=N, alpha=twist[0], beta=twist[1])
+        op = DiscreteField(u=np.zeros((g.n, g.n), complex), grid=g, wrap=wrap).operator()
+        cx, cy = op.cx, op.cy
+        # c = exp(-i phi): the counterclockwise transport is conj of the product
+        hol = cx * np.roll(cy, -1, axis=0) * np.conj(np.roll(cx, -1, axis=1) * cy)
+        F = -np.angle(hol)
         assert np.max(np.abs(F - g.h**2)) < 1e-12
         assert abs(math.fsum(F.ravel()) - TWO_PI * N) < 1e-10
 
@@ -60,36 +55,39 @@ def test_plaquette_fluxes_exact():
 def test_wrap_factors_match_continuum_phases():
     g = build_grid(CellConfig(b=0.5, N=3, n=64))
     wrap = WrapRule(n=g.n, N=3)
-    bx, by = boundary_factors(g, wrap)
+    idx = np.arange(g.n)
+    bx, by = wrap.ghost_factors(g.n, idx), wrap.ghost_factors(idx, g.n)
     assert np.max(np.abs(bx - np.exp(1j * g.R * g.x2 / 2))) < 1e-12
     assert np.max(np.abs(by - np.exp(-1j * g.R * g.x1 / 2))) < 1e-12
 
 
 def test_wrap_orders_commute_exactly():
-    # reducing x-then-y and y-then-x must give the same ghost factor bit for bit
+    # reducing x-then-y and y-then-x must give the same ghost value bit for
+    # bit; both orders go through the same numpy array product
     rng = np.random.default_rng(7)
     for N in (1, 2, 5):
         n = 32
         wrap = WrapRule(n=n, N=N)
         u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for _ in range(100):
-            i = int(rng.integers(-3 * n, 3 * n))
-            j = int(rng.integers(-3 * n, 3 * n))
-            p, i0 = divmod(i, n)
-            q, j0 = divmod(j, n)
-            units_yx = (-q * N * (2 * i - n) + p * N * (2 * j0 - n)) % (4 * n)
-            other = np.exp(1j * math.pi * units_yx / (2 * n)) * u[i0, j0]
-            assert wrap_value(u, wrap, i, j) == other
+        i = rng.integers(-3 * n, 3 * n, 100)
+        j = rng.integers(-3 * n, 3 * n, 100)
+        p, i0 = np.divmod(i, n)
+        q, j0 = np.divmod(j, n)
+        units_yx = (-q * N * (2 * i - n) + p * N * (2 * j0 - n)) % (4 * n)
+        other = np.exp(1j * (math.pi * units_yx / (2 * n))) * u[i0, j0]
+        assert np.array_equal(wrap_value(u, wrap, i, j), other)
 
 
 def test_wrap_identity_inside_cell():
     n = 32
+    g = build_grid(CellConfig(b=0.9, N=2, n=n))
     wrap = WrapRule(n=n, N=2)
     u = np.arange(n * n, dtype=complex).reshape(n, n)
     assert wrap_value(u, wrap, 3, 5) == u[3, 5]
-    # one full period in x multiplies by the x factor
+    assert np.array_equal(wrap_value(u, wrap, np.arange(n)[:, None], np.arange(n)), u)
+    # one full period in x multiplies by the continuum phase exp(i R x2 / 2)
     val = wrap_value(u, wrap, 3 + n, 5)
-    assert abs(val - complex(np.asarray(wrap.factor_x(5))) * u[3, 5]) < 1e-12
+    assert abs(val - np.exp(0.5j * g.R * g.x2[5]) * u[3, 5]) < 1e-12
 
 
 def test_twisted_wrap_adds_constant_phase():
@@ -98,7 +96,7 @@ def test_twisted_wrap_adds_constant_phase():
     plain = WrapRule(n=n, N=N)
     twisted = WrapRule(n=n, N=N, alpha=alpha, beta=beta)
     j = np.arange(n)
-    ratio = np.asarray(twisted.factor_x(j)) / np.asarray(plain.factor_x(j))
+    ratio = twisted.ghost_factors(n, j) / plain.ghost_factors(n, j)
     assert np.max(np.abs(ratio - np.exp(1j * alpha))) < 1e-12
-    ratio = np.asarray(twisted.factor_y(j)) / np.asarray(plain.factor_y(j))
+    ratio = twisted.ghost_factors(j, n) / plain.ghost_factors(j, n)
     assert np.max(np.abs(ratio - np.exp(1j * beta))) < 1e-12

@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from glcell.energy import DiscreteField, energy, gradient
-from glcell.grid import CellConfig, build_grid, wrap_value
+from glcell.grid import build_grid
 from glcell.minimize import (
     MinimizationError,
     SolverSettings,
@@ -153,26 +151,11 @@ def test_precondition_matches_2d_fft(n):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def magnetic_translate(f, p, q):
-    """u'(x) = e^{i phi(x)} u(x - a) with a = (p, q) (n/N) h, phi = (a1 x2 - a2 x1)/2.
-
-    Shifts by whole multiples of n/N sites map the magnetic-periodic space
-    onto itself and leave the discrete energy invariant.
-    """
-    g, n = f.grid, f.grid.n
-    s1, s2 = p * n // g.N, q * n // g.N
-    a1, a2 = s1 * g.h, s2 * g.h
-    shifted = np.array([[wrap_value(f.u, f.wrap, i - s1, j - s2) for j in range(n)]
-                        for i in range(n)])
-    phase = np.exp(0.5j * (a1 * g.x2[None, :] - a2 * g.x1[:, None]))
-    return DiscreteField(u=phase * shifted, grid=g, wrap=f.wrap)
-
-
 B4, CFG4 = 0.25, trial_config(0.25, 4)
 
 
 @pytest.mark.parametrize("shift", [(1, 2), (3, 1)])
-def test_magnetic_translation_energy_and_gradient(shift):
+def test_magnetic_translation_energy_and_gradient(shift, magnetic_translate):
     f = init_state("random", CFG4, seed=3)
     moved = magnetic_translate(f, *shift)
     e = energy(f, B4).total
@@ -182,7 +165,7 @@ def test_magnetic_translation_energy_and_gradient(shift):
     assert np.max(np.abs(gradient(moved, B4) - moved_grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
-def test_magnetic_translation_minimize():
+def test_magnetic_translation_minimize(magnetic_translate):
     # The bare N=4 trial state sits near the square-lattice saddle.  The
     # preconditioner ignores the magnetic phases, so it does not commute with
     # magnetic translations, and from the bare trial state some translations

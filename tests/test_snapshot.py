@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glcell.energy import DiscreteField, energy
-from glcell.grid import CellConfig, LinkPhases, WrapRule, build_grid, link_phases
+from glcell.grid import CellConfig, WrapRule, build_grid
 from glcell.snapshot import MAGIC, SnapshotError, read_snapshot, write_snapshot
 from glcell.trial import build_trial, trial_config
 
@@ -88,17 +88,6 @@ def test_twisted_round_trip_keeps_energy(tmp_path):
     back, _ = read_snapshot(p)
     assert (back.wrap.alpha, back.wrap.beta) == (0.3, -0.2)
     assert energy(back, b).total == energy(f, b).total
-
-
-def test_custom_phases_refused(tmp_path):
-    f, b = make_field()
-    energy(f, b)  # fills in the default phases, which may be stored
-    write_snapshot(tmp_path / "default.glc", f, b)
-    ph = link_phases(f.grid)
-    custom = DiscreteField(u=f.u, grid=f.grid, wrap=f.wrap,
-                           phases=LinkPhases(theta_x=ph.theta_x + 0.01, theta_y=ph.theta_y))
-    with pytest.raises(SnapshotError, match="custom link phases"):
-        write_snapshot(tmp_path / "custom.glc", custom, b)
 
 
 def rewrite_header(path, edit):

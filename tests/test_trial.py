@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from glcell.energy import energy
-from glcell.grid import CellConfig, build_grid
+from glcell.energy import CellOperator, energy
+from glcell.grid import CellConfig, WrapRule, build_grid
 from glcell.trial import (
-    CELL_SIDE,
     TrialError,
     build_phase,
     build_trial,
@@ -16,8 +15,6 @@ from glcell.trial import (
     ring_log_slope,
     solve_cell_green,
     trial_config,
-    trial_phase,
-    verify_upper_bound,
 )
 from glcell.vortices import cell_boundary_loop, winding
 
@@ -61,7 +58,7 @@ def test_phase_wrap_compliance():
     for b, N in ((0.1, 4), (0.25, 1)):
         cfg = trial_config(b, N)
         g = build_grid(cfg)
-        phase = trial_phase(b, N, g)
+        phase = build_phase(g, N)
         assert phase.alpha_spread < 1e-9
         assert phase.beta_spread < 1e-9
 
@@ -76,7 +73,7 @@ def test_trial_requires_square_N():
 def test_trial_zeros_at_poles():
     cfg = trial_config(0.1, 4)
     g = build_grid(cfg)
-    phase = trial_phase(0.1, 4, g)
+    phase = build_phase(g, 4)
     f = build_trial(0.1, 4, g)
     vals = f.u[phase.pole_sites[:, 0], phase.pole_sites[:, 1]]
     assert np.max(np.abs(vals)) == 0.0
@@ -99,9 +96,6 @@ def test_trial_energy_upper_bound():
     per_cell = energy(f, b).total / N
     target = 2.0 * math.pi * b * abs(math.log(math.sqrt(b))) - math.pi
     assert abs(per_cell - target) <= 5.0 * b
-    report = verify_upper_bound(b, N, g)
-    assert report["pass"]
-    assert abs(report["g_trial"] - per_cell / (2.0 * math.pi)) < 1e-12
 
 
 def test_predicted_density_value():
@@ -109,13 +103,31 @@ def test_predicted_density_value():
 
 
 def test_twisted_and_gauged_energies_agree():
-    # the gauge map removing (alpha, beta) preserves the energy exactly
-    b, N = 0.1, 4
-    cfg = trial_config(b, N)
-    g = build_grid(cfg)
-    e_plain = energy(build_trial(b, N, g), b).total
-    e_twist = energy(build_trial(b, N, g, twisted=True), b).total
-    assert abs(e_plain - e_twist) < 1e-8 * abs(e_plain)
+    # The gauge map removing (alpha, beta) preserves the energy: the
+    # ungauged state v = e^{-i chi} u, chi = -(alpha x1 + beta x2)/R, lives in
+    # the (alpha, beta)-twisted space, and on the twisted connection shifted
+    # by d chi per link it has the energy of u.
+    b = 0.1
+    for N in (4, 1):
+        g = build_grid(trial_config(b, N))
+        u = build_trial(b, N, g).u
+        phase = build_phase(g, N)
+        chi = -(phase.alpha * g.x1[:, None] + phase.beta * g.x2[None, :]) / g.R
+        v = np.exp(-1j * chi) * u
+        op = CellOperator(g, WrapRule(n=g.n, N=N, alpha=phase.alpha, beta=phase.beta))
+        potential = 0.5 * g.h**2 * np.sum((1.0 - np.abs(v) ** 2) ** 2)
+
+        def twisted_energy(shift_x, shift_y):
+            dx = op.cx * np.exp(-1j * shift_x) * np.roll(v, -1, axis=0) - v
+            dy = op.cy * np.exp(-1j * shift_y) * np.roll(v, -1, axis=1) - v
+            return b * np.sum(np.abs(dx) ** 2 + np.abs(dy) ** 2) + potential - 0.5 * g.area
+
+        # energy(e^{i chi} v; theta) = energy(v; theta - d chi), d chi = -alpha h / R per x-link
+        e_twist = twisted_energy(phase.alpha * g.h / g.R, phase.beta * g.h / g.R)
+        e_plain = energy(build_trial(b, N, g), b).total
+        assert abs(e_plain - e_twist) < 1e-8 * abs(e_plain)
+        # the shift matters: without it the gap is a thousand times larger
+        assert abs(e_plain - e_twist) < 1e-3 * abs(e_plain - twisted_energy(0.0, 0.0))
 
 
 def test_trial_config_shapes():
@@ -129,9 +141,10 @@ def test_trial_config_shapes():
 
 
 def test_build_phase_grid_mismatch():
-    cfg = trial_config(0.1, 4)
-    g = build_grid(cfg)
-    green = solve_cell_green(64)  # wrong resolution for this grid
-    if green.m != g.n // 2:
-        with pytest.raises(TrialError, match="resolution"):
-            build_phase(green, g, 4)
+    # the grid must split into sqrt(N) x sqrt(N) cells of an even side
+    g = build_grid(CellConfig(b=0.5, N=4, n=65))
+    with pytest.raises(TrialError, match="divisible"):
+        build_phase(g, 4)
+    g = build_grid(CellConfig(b=0.5, N=4, n=66))
+    with pytest.raises(TrialError, match="even"):
+        build_phase(g, 4)

@@ -19,6 +19,7 @@ from glcell.vortices import (
     enclosing_disk,
     find_balls,
     lipschitz_dual_distance,
+    supercurrent,
     uniform_measure,
     vorticity,
     winding,
@@ -76,6 +77,24 @@ def test_degree_additivity():
     assert winding(f, left) == 1
     assert winding(f, right) == 0
     assert winding(f, big) == winding(f, left) + winding(f, right)
+
+
+def test_lattice_loops_walk_square_boundaries():
+    # each loop is closed, takes unit lattice steps, visits each boundary site
+    # of its square once and runs counterclockwise (shoelace area +side^2)
+    g = build_grid(CellConfig(b=0.5, N=1, n=48))
+    for loop, side in ((cell_boundary_loop(7), 7), (_square_loop((0.3, -1.1), 0.2, g), 10)):
+        assert len(loop) == 4 * side + 1 and np.array_equal(loop[0], loop[-1])
+        assert np.all(np.abs(np.diff(loop, axis=0)).sum(axis=1) == 1)
+        lo = loop.min(axis=0)
+        assert np.array_equal(loop.max(axis=0) - lo, [side, side])
+        assert len({tuple(p) for p in loop[:-1]}) == 4 * side
+        x, y = loop[:, 0], loop[:, 1]
+        assert np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]) == 2 * side**2
+    # a loop given as pairs and the same loop as an array wind alike
+    f = synthetic_field(profile="zero1")
+    loop = _square_loop((0.0, 0.0), 3 * f.grid.h, f.grid)
+    assert winding(f, [tuple(p) for p in loop]) == winding(f, loop) == 1
 
 
 def test_enclosing_disk_minimal():
@@ -147,6 +166,47 @@ def test_seam_crossing_component():
         abs(balls[0].center[0]) < 2 * g.h
 
 
+def test_wrapping_component_raises():
+    # 0.3 x the trial state has |u| < 0.5 everywhere: the one component is
+    # the whole torus, which no disk can stand for, and its loop degree (16)
+    # is not the boundary winding (4)
+    b, N = 0.1, 4
+    g = build_grid(trial_config(b, N))
+    f = build_trial(b, N, g)
+    f.u *= 0.3
+    assert winding(f, cell_boundary_loop(g.n)) == N
+    with pytest.raises(VortexError, match="spans half the cell"):
+        find_balls(f, b)
+    # a band around the torus in x1 alone, with |u| = 1 elsewhere
+    f = synthetic_field(profile="one")
+    f.u[:, 20:23] = 0.1
+    with pytest.raises(VortexError, match="spans half the cell"):
+        find_balls(f, 0.5)
+
+
+def test_find_balls_magnetic_translation(magnetic_translate):
+    # translating the field by a = (p, q) (n/N) h moves every ball by a mod R
+    # and keeps its radius and degree; a degree-0 dip off the lattice breaks
+    # the trial state's symmetry
+    b, N = 0.04, 4
+    g = build_grid(trial_config(b, N))
+    f = build_trial(b, N, g)
+    r = np.hypot(g.x1[:, None] - 0.9, g.x2[None, :] + 1.7)
+    f.u *= np.minimum(1.0, r / 0.25)
+    balls = find_balls(f, b)
+    assert sorted(ball.degree for ball in balls) == [0, 1, 1, 1, 1]
+    for p, q in ((1, 2), (3, 1), (0, 1)):
+        a = np.array([p, q]) * (g.n // N) * g.h
+        moved = find_balls(magnetic_translate(f, p, q), b)
+        assert len(moved) == len(balls)
+        for ball in balls:
+            dist = [math.hypot(*_torus_delta(m.center, np.add(ball.center, a), g.R)) for m in moved]
+            k = int(np.argmin(dist))
+            assert dist[k] < 1e-9
+            assert abs(moved[k].radius - ball.radius) < 1e-9
+            assert moved[k].degree == ball.degree
+
+
 def test_classify_squares_uniform_field():
     b, N = 0.1, 4
     cfg = trial_config(b, N)
@@ -200,6 +260,23 @@ def test_vorticity_mass_identity():
     assert abs(v.total_mass - TWO_PI * N) <= 1e-8 * TWO_PI * N
 
 
+def test_vorticity_flux_is_connection_holonomy():
+    # the curl A0 part of mu is the plaquette holonomy of the field's own
+    # connection, at a twisted wrap too, and the mass stays 2 pi N
+    rng = np.random.default_rng(9)
+    n, N = 96, 4
+    g = build_grid(CellConfig(b=0.5, N=N, n=n))
+    u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    f = DiscreteField(u=u, grid=g, wrap=WrapRule(n=n, N=N, alpha=0.4, beta=-0.9))
+    op = f.operator()
+    holonomy = op.cx * np.roll(op.cy, -1, axis=0) * np.conj(np.roll(op.cx, -1, axis=1) * op.cy)
+    jx, jy = supercurrent(f)
+    circ = g.h * (jx + np.roll(jy, -1, axis=0) - np.roll(jx, -1, axis=1) - jy)
+    v = vorticity(f)
+    assert np.max(np.abs(v.mu - (circ - np.angle(holonomy)))) < 1e-13
+    assert abs(v.total_mass - TWO_PI * N) <= 1e-9
+
+
 def test_vorticity_concentrates_at_trial_cores():
     b, N = 0.04, 4
     g = build_grid(trial_config(b, N))
@@ -218,6 +295,18 @@ def test_boundary_winding_flux_quantization():
     for N in (1, 4):
         f = build_trial(0.1, N, build_grid(trial_config(0.1, N)))
         assert winding(f, cell_boundary_loop(f.grid.n)) == N
+
+
+def test_ball_degrees_sum_to_boundary_winding(minimizer_b005):
+    # the ball degrees and the cell-boundary winding both read the solver's
+    # connection, and every unit of flux must be found in some ball
+    fields = [(build_trial(b, N, build_grid(trial_config(b, N))), b)
+              for b, N in ((0.1, 1), (0.04, 4), (0.1, 9))]
+    fields.append((minimizer_b005.field, 0.05))
+    for f, b in fields:
+        boundary = winding(f, cell_boundary_loop(f.grid.n))
+        assert boundary == f.grid.N
+        assert sum(ball.degree for ball in find_balls(f, b)) == boundary
 
 
 def test_dual_distance_trivial_and_shifted():

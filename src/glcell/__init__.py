@@ -37,7 +37,6 @@ from .grid import (
     Grid,
     WrapRule,
     build_grid,
-    choose_n,
     link_phases,
     wrap_value,
 )

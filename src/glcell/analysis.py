@@ -18,11 +18,11 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .energy import DiscreteField, density_moments
+from .grid import CellConfig
 from .minimize import GCurvePoint, MinimizationResult, SolverSettings, estimate_g
 from .trial import trial_config
 from .vortices import (
@@ -111,12 +111,6 @@ class SweepReport:
         if bs != sorted(bs) or len(set(bs)) != len(bs):
             raise AnalysisError("sweep points must have strictly increasing b")
 
-    def point(self, b: float) -> GCurvePoint:
-        for p in self.points:
-            if abs(p.b - b) <= 1e-12:
-                return p
-        raise AnalysisError(f"no sweep point at b={b}")
-
 
 def build_sweep(points: list[GCurvePoint]) -> SweepReport:
     """Assemble a report from raw g-curve points: brackets, r0, flags."""
@@ -148,7 +142,6 @@ def run_sweep(
     b_values: list[float],
     N: int,
     settings: SolverSettings | None = None,
-    seed: int = 0,
     samples_per_core: int = 8,
     jobs: int = 1,
 ) -> SweepReport:
@@ -166,8 +159,7 @@ def run_sweep(
     cap = os.environ.get("GLCELL_THREADS")
     if cap:
         jobs = min(jobs, max(1, int(cap)))
-    point = partial(estimate_g, N_list=[N], init_kinds=("trial",), settings=settings,
-                    seed=seed, n=n)
+    configs = [CellConfig(b=b, N=N, n=n) for b in bs]
     if jobs > 1 and len(bs) > 1:
         # imported here: these modules add ~35 ms to every start-up that
         # never runs a pool (serial sweeps and all other commands)
@@ -176,9 +168,9 @@ def run_sweep(
 
         with ProcessPoolExecutor(max_workers=jobs,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            points = list(pool.map(point, bs))
+            points = list(pool.map(estimate_g, configs, [settings] * len(configs)))
     else:
-        points = [point(b) for b in bs]
+        points = [estimate_g(config, settings) for config in configs]
     return build_sweep(points)
 
 

@@ -32,21 +32,29 @@ def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
+# the keys each command reads, from a config file or from its flags;
+# samples_per_core comes from a config file only
 _CONFIG_KEYS = {
-    "b", "N", "n", "init", "seed", "max_iter", "grad_tol", "out", "b_list",
-    "jobs", "C_star", "samples_per_core",
+    "minimize": {"b", "N", "n", "init", "seed", "max_iter", "grad_tol", "out",
+                 "samples_per_core"},
+    "trial": {"b", "N", "n", "out", "samples_per_core"},
+    "vortices": {"out", "C_star"},
+    "sweep": {"b", "b_list", "N", "max_iter", "grad_tol", "out", "jobs",
+              "samples_per_core"},
 }
 
 
 def _load_config(args) -> dict:
+    keys = _CONFIG_KEYS[args.command]
     cfg = {}
     if getattr(args, "config", None):
         raw = json.loads(Path(args.config).read_text())
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - keys
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)} "
+                              f"({args.command} reads {sorted(keys)})")
         cfg.update(raw)
-    for key in _CONFIG_KEYS:
+    for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val  # flags override file values
@@ -60,6 +68,8 @@ def _cell_config(cfg: dict) -> CellConfig:
     if n is None:
         return trial_config(b, N, samples_per_core=int(cfg.get("samples_per_core", 8)),
                             seed=int(cfg.get("seed", 0)))
+    if "samples_per_core" in cfg:
+        raise ConfigError("n and samples_per_core both set the resolution; give one")
     return CellConfig(b=b, N=N, n=int(n), seed=int(cfg.get("seed", 0)))
 
 
@@ -71,10 +81,12 @@ def _solver_settings(cfg: dict) -> SolverSettings:
 
 def cmd_minimize(args) -> int:
     cfg = _load_config(args)
+    kind = cfg.get("init", "uniform")
+    if "seed" in cfg and kind != "random":
+        raise ConfigError(f"seed applies only to the random init, not to {kind!r}")
     config = _cell_config(cfg)
     outdir = Path(cfg.get("out", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    kind = cfg.get("init", "uniform")
     res = minimize(init_state(kind, config), config.b, _solver_settings(cfg), init_label=kind)
     write_snapshot(outdir / "field.glc", res.field, config.b)
     _write_json(outdir / "result.json", {
@@ -161,7 +173,6 @@ def cmd_sweep(args) -> int:
     outdir = Path(cfg.get("out", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     report = run_sweep(b_values, int(cfg.get("N", 1)), settings=_solver_settings(cfg),
-                       seed=int(cfg.get("seed", 0)),
                        samples_per_core=int(cfg.get("samples_per_core", 8)),
                        jobs=int(cfg.get("jobs", 1)))
     (outdir / "sweep.csv").write_text(sweep_to_csv(report))
@@ -201,23 +212,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each command takes only the flags it reads (see _CONFIG_KEYS)
     def common(p, *b_aliases, **b_options):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--b", *b_aliases, **b_options)
         p.add_argument("--N", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--seed", type=int)
+        p.add_argument("--out")
+
+    def solver(p):
         p.add_argument("--max-iter", dest="max_iter", type=int)
         p.add_argument("--grad-tol", dest="grad_tol", type=float)
-        p.add_argument("--out")
 
     p_min = sub.add_parser("minimize", help="minimize the cell energy")
     common(p_min, type=float)
+    p_min.add_argument("--n", type=int)
+    p_min.add_argument("--seed", type=int)
+    solver(p_min)
     p_min.add_argument("--init", choices=["uniform", "random", "trial", "zero"])
     p_min.set_defaults(func=cmd_minimize, requires_b=True)
 
     p_tr = sub.add_parser("trial", help="build the vortex-lattice trial state")
     common(p_tr, type=float)
+    p_tr.add_argument("--n", type=int)
     p_tr.set_defaults(func=cmd_trial, requires_b=True)
 
     p_vx = sub.add_parser("vortices", help="detect vortices in a snapshot")
@@ -229,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="g(b) sweep over several b values")
     common(p_sw, "--b-list", dest="b_list", help="comma-separated b values")
+    solver(p_sw)
     p_sw.add_argument("--jobs", type=int)
     p_sw.add_argument("--report", choices=["acceptance"])
     p_sw.set_defaults(func=cmd_sweep, requires_b=True)

@@ -64,15 +64,6 @@ class CellConfig:
         return self.R / self.n
 
 
-def choose_n(b: float, N: int, samples_per_core: int = 8, multiple_of: int = 1) -> int:
-    """Smallest n with h = R/n <= sqrt(b)/samples_per_core, rounded up to a multiple."""
-    R = math.sqrt(TWO_PI * N)
-    n = int(math.ceil(R * samples_per_core / math.sqrt(b)))
-    if multiple_of > 1:
-        n = multiple_of * int(math.ceil(n / multiple_of))
-    return max(n, 16)
-
-
 @dataclass(frozen=True)
 class Grid:
     """Sites, spacing and coordinates of the discretized cell."""

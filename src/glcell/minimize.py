@@ -7,15 +7,14 @@ exact quartic in the step length, so the line search takes the real root of
 its cubic derivative with the lowest energy.  The preconditioner
 (2b L + 2 sigma h^2)^-1, with L the symbol of the periodic 5-point
 Laplacian, is applied by FFT and ignores the magnetic phases.
-method="flow" runs the same loop with beta = 0.  g(b) is estimated by taking
-the best energy density over several initializations at the largest cell.
+estimate_g gives one point of g(b): a single solve from the vortex-lattice
+trial state of the given cell.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +29,13 @@ from .energy import (
     line_quartic,
     redot,
 )
-from .grid import CellConfig, WrapRule, build_grid, choose_n
-from .trial import build_trial, trial_config
+from .grid import CellConfig, WrapRule, build_grid
+from .trial import build_trial
 
 SIGMA = 2.0  # potential shift of the preconditioner, in units of 2 h^2
+RESTART_EVERY = 200       # iterations between forced steepest-descent restarts
+SADDLE_KICK = 1e-2        # perturbation scale to escape exact critical points
+DIVERGENCE_FACTOR = 1e3   # error if energy exceeds initial by this margin
 
 
 class MinimizationError(RuntimeError):
@@ -46,10 +48,6 @@ class MinimizationError(RuntimeError):
 class SolverSettings:
     grad_tol: float = 1e-8          # relative: |grad|*h / max(min(|G|, area), 1)
     max_iter: int = 20000
-    method: str = "ncg"             # "ncg" or "flow"
-    restart_every: int = 200
-    saddle_kick: float = 1e-2       # perturbation scale to escape exact critical points
-    divergence_factor: float = 1e3  # error if energy exceeds initial by this margin
 
 
 @dataclass
@@ -83,20 +81,19 @@ class GCurvePoint:
     d_upper: float | None = None
     potential_moment: float | None = None
     zeta: float | None = None
-    iterations: int | None = None     # of the best run at the largest N
+    iterations: int | None = None     # of the minimize run
     stop_reason: str | None = None    # of the same run
-    per_N: list = field(default_factory=list)   # (N, g_est) sequence
     flags: list = field(default_factory=list)
 
 
-def init_state(kind: str, config: CellConfig, seed: int | None = None) -> DiscreteField:
+def init_state(kind: str, config: CellConfig) -> DiscreteField:
     grid = build_grid(config)
     wrap = WrapRule(n=grid.n, N=grid.N)
     if kind == "uniform":
         u = np.ones((grid.n, grid.n), dtype=np.complex128)
         return DiscreteField(u=u, grid=grid, wrap=wrap)
     if kind == "random":
-        rng = np.random.default_rng(config.seed if seed is None else seed)
+        rng = np.random.default_rng(config.seed)
         mod = rng.random((grid.n, grid.n))
         phase = rng.uniform(0.0, 2.0 * math.pi, (grid.n, grid.n))
         return DiscreteField(u=mod * np.exp(1j * phase), grid=grid, wrap=wrap)
@@ -198,8 +195,8 @@ def minimize(
         if converged_at(gnorm, value):
             # converging onto the u = 0 saddle (G = 0 but b < 1 admits
             # negative states): kick harder and keep going
-            if b < 1.0 and s.saddle_kick > 0.0 and value > -1e-9 and kicks < 4:
-                scale = s.saddle_kick * 10.0 ** (kicks - 1)
+            if value > -1e-9 and kicks < 4:
+                scale = SADDLE_KICK * 10.0 ** (kicks - 1)
                 u += scale * (rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
                 kicks += 1
                 value, gnorm = evaluate(it)
@@ -214,7 +211,7 @@ def minimize(
         pg = _precondition(grad, symbol, pg)
         gpg = redot(grad, pg)
         beta = 0.0
-        if not (restart or s.method == "flow" or it % s.restart_every == 0):
+        if not (restart or it % RESTART_EVERY == 0):
             beta = max(0.0, (gpg - redot(grad_old, pg)) / gpg_old)
         if beta > 0.0:
             d *= beta
@@ -241,7 +238,7 @@ def minimize(
         if value < best_val:
             best_val = value
             np.copyto(best_u, u)
-        if value > e0 + s.divergence_factor * (abs(e0) + 1.0):
+        if value > e0 + DIVERGENCE_FACTOR * (abs(e0) + 1.0):
             raise _diverged("energy rose far above its initial value",
                             {"iteration": it, "value": value, "initial": e0, "grad_norm": gnorm})
     # free the loop's buffers before the final evaluation allocates its own
@@ -263,70 +260,23 @@ def minimize(
     )
 
 
-def _is_square(N: int) -> bool:
-    k = int(round(math.sqrt(N)))
-    return k * k == N
+def estimate_g(config: CellConfig, settings: SolverSettings | None = None) -> GCurvePoint:
+    """One point of g(b): minimize once from the trial state of the cell.
 
-
-def estimate_g(
-    b: float,
-    N_list: list[int],
-    init_kinds: tuple[str, ...] = ("uniform", "trial", "random"),
-    settings: SolverSettings | None = None,
-    seed: int = 0,
-    n_random: int = 3,
-    samples_per_core: int = 8,
-    n: int | None = None,
-) -> GCurvePoint:
-    """Best energy density over initializations, taken at the largest cell.
-
-    n overrides the automatic resolution choice, letting sweeps share one
-    grid so discretization systematics cancel in finite differences.
+    g_trial is the energy density of that trial state, an upper bound on g.
+    A MinimizationError reaches the caller with its diagnostics.
     """
-    if not N_list:
-        raise ValueError("N_list must be nonempty")
-    if sorted(N_list) != list(N_list):
-        raise ValueError("N_list must be increasing")
-    s = settings or SolverSettings()
-    per_N = []
-    flags = []
-    best_result = None
-    g_trial = None
-    for N in N_list:
-        kinds = [k for k in init_kinds if k != "trial" or _is_square(N)]
-        if n is not None:
-            cfg = CellConfig(b=b, N=N, n=n, seed=seed)
-        elif _is_square(N):
-            cfg = trial_config(b, N, samples_per_core=samples_per_core, seed=seed)
-        else:
-            cfg = CellConfig(b=b, N=N, n=choose_n(b, N, samples_per_core), seed=seed)
-        runs = []
-        for kind in kinds:
-            seeds = range(seed, seed + n_random) if kind == "random" else [seed]
-            for sd in seeds:
-                try:
-                    res = minimize(init_state(kind, cfg, seed=sd), b, s,
-                                   init_label=f"{kind}[{sd}]" if kind == "random" else kind)
-                    runs.append(res)
-                except MinimizationError as exc:
-                    warnings.warn(f"minimization failed for init {kind}: {exc}")
-        if not runs:
-            raise MinimizationError(f"all minimizations failed at N={N}")
-        best = min(runs, key=lambda r: r.breakdown.total)
-        per_N.append((N, best.density))
-        if N == N_list[-1]:
-            best_result = best
-            if _is_square(N):
-                grid = best.field.grid
-                g_trial = energy(build_trial(b, N, grid), b).total / grid.area
-    g_est = per_N[-1][1]
-    if g_est >= -1e-9:
-        flags.append("likely not converged to ground state")
-    grid = best_result.field.grid
-    _, _, mpot = density_moments(best_result.field)
+    b = config.b
+    init = init_state("trial", config)
+    grid = init.grid
+    g_trial = energy(init, b).total / grid.area
+    res = minimize(init, b, settings, init_label="trial")
+    g_est = res.density
+    flags = ["likely not converged to ground state"] if g_est >= -1e-9 else []
+    _, _, mpot = density_moments(res.field)
     zeta = (g_est + 0.5 + 0.5 * b * math.log(b)) / (b * math.log(b))
     return GCurvePoint(
-        b=b, N=N_list[-1], R=grid.R, n=grid.n, g_est=g_est, g_trial=g_trial,
-        potential_moment=mpot, zeta=zeta, iterations=best_result.iterations,
-        stop_reason=best_result.stop_reason, per_N=per_N, flags=flags,
+        b=b, N=config.N, R=grid.R, n=grid.n, g_est=g_est, g_trial=g_trial,
+        potential_moment=mpot, zeta=zeta, iterations=res.iterations,
+        stop_reason=res.stop_reason, flags=flags,
     )

@@ -71,18 +71,6 @@ def solve_cell_green(resolution: int) -> CellGreen:
     return CellGreen(m=m, hc=hc, values=h, spectrum=spec, pole_index=(p, p))
 
 
-def green_residual(green: CellGreen) -> float:
-    """Max-norm residual of the spectral equation Delta h = rhs."""
-    m, hc = green.m, green.hc
-    k = TWO_PI * np.fft.fftfreq(m, d=hc)
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    lap = np.real(np.fft.ifft2(-k2 * green.spectrum))
-    rhs = -np.ones((m, m))
-    rhs[green.pole_index] += TWO_PI / hc**2
-    rhs -= np.mean(rhs)  # the solve only sees the mean-zero part
-    return float(np.max(np.abs(lap - rhs)))
-
-
 def ring_log_slope(green: CellGreen, r_lo: float, r_hi: float) -> float:
     """Least-squares slope of h against log|x - a1| on sites with r in [r_lo, r_hi]."""
     y = green.coords()
@@ -95,32 +83,11 @@ def ring_log_slope(green: CellGreen, r_lo: float, r_hi: float) -> float:
     return float(slope)
 
 
-def energy_ring_estimates(green: CellGreen, b: float) -> tuple[float, float]:
-    """(outer, inner) Dirichlet integrals of h split at radius sqrt(b).
-
-    outer = int_{Q1 \\ B(a1, sqrt(b))} |grad h|^2, which grows like
-    2*pi*|log sqrt(b)|; inner = (1/b) int_{B} |x - a1|^2 |grad h|^2 = O(1).
-    """
-    m, hc = green.m, green.hc
-    k = TWO_PI * np.fft.fftfreq(m, d=hc)
-    gx = np.real(np.fft.ifft2(1j * k[:, None] * green.spectrum))
-    gy = np.real(np.fft.ifft2(1j * k[None, :] * green.spectrum))
-    grad2 = gx**2 + gy**2
-    y = green.coords()
-    r2 = y[:, None] ** 2 + y[None, :] ** 2
-    core = r2 < b
-    outer = float(np.sum(grad2[~core]) * hc**2)
-    inner = float(np.sum((r2 * grad2)[core]) * hc**2 / b)
-    return outer, inner
-
-
 @dataclass(frozen=True)
 class PhaseField:
     """Single-valued representative of the multivalued trial phase."""
 
     phi: np.ndarray = field(repr=False)      # (n, n) phase at sites
-    omega_x: np.ndarray = field(repr=False)  # (n, n) link increments, +x
-    omega_y: np.ndarray = field(repr=False)  # (n, n) link increments, +y
     alpha: float = 0.0
     beta: float = 0.0
     alpha_spread: float = 0.0   # max deviation of the x-edge mismatch from alpha
@@ -192,8 +159,6 @@ def build_phase(grid: Grid, N: int) -> PhaseField:
     poles = np.stack(np.meshgrid(centers, centers, indexing="ij"), axis=-1).reshape(-1, 2)
     return PhaseField(
         phi=phi,
-        omega_x=omega_x,
-        omega_y=omega_y,
         alpha=alpha,
         beta=beta,
         alpha_spread=alpha_spread,

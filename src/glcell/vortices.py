@@ -297,13 +297,8 @@ def find_balls(
     field: DiscreteField,
     b: float,
     threshold: float = 0.5,
-    target_total_radius: float | None = None,
 ) -> list[VortexBall]:
-    """Disjoint vortex balls covering {|u| < threshold}, with degrees.
-
-    target_total_radius (default |log b|^-2) is the per-square radius budget
-    used by classify_squares for reporting; it is not enforced here.
-    """
+    """Disjoint vortex balls covering {|u| < threshold}, with degrees."""
     g = field.grid
     mask = np.abs(field.u) < threshold
     comps = _components(mask)

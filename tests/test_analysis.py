@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import glcell.minimize
 from glcell.analysis import (
     AnalysisError,
     SweepReport,
@@ -12,12 +13,13 @@ from glcell.analysis import (
     derivative_bracket,
     potential_check,
     r0,
+    run_sweep,
     sweep_to_csv,
     sweep_to_json,
 )
 from glcell.energy import DiscreteField
 from glcell.grid import WrapRule, build_grid
-from glcell.minimize import GCurvePoint
+from glcell.minimize import GCurvePoint, MinimizationError
 from glcell.trial import build_trial, trial_config
 from glcell.vortices import VortexBall
 
@@ -93,6 +95,19 @@ def test_build_sweep_single_point_flagged():
 def test_sweep_ordering_enforced():
     with pytest.raises(AnalysisError, match="increasing"):
         SweepReport(points=[model_point(0.02), model_point(0.01)])
+
+
+def test_sweep_point_error_keeps_diagnostics(monkeypatch):
+    # a failed solve is not swallowed: run_sweep raises the solver's own
+    # error, diagnostics included
+    def diverge(init, b, settings=None, init_label="custom"):
+        raise MinimizationError("minimization diverged: test",
+                                {"stop_reason": "diverged", "iteration": 7})
+
+    monkeypatch.setattr(glcell.minimize, "minimize", diverge)
+    with pytest.raises(MinimizationError, match="diverged: test") as info:
+        run_sweep([0.2, 0.25], 1)
+    assert info.value.diagnostics == {"stop_reason": "diverged", "iteration": 7}
 
 
 def test_sweep_serialization_columns():

@@ -170,6 +170,41 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
     code, _, err = run(["minimize", "--config", str(cfg)], capsys)
     assert code == EXIT_ERROR
     assert "unknown config keys" in err
+    # a key another command reads is unknown to one that does not: a sweep
+    # sets n from its smallest b
+    cfg.write_text(json.dumps({"b": "0.2,0.25", "N": 1, "n": 400}))
+    code, _, err = run(["sweep", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == EXIT_ERROR
+    assert "unknown config keys: ['n']" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_inputs_that_would_change_nothing_are_rejected(tmp_path, capsys):
+    code, _, err = run(["minimize", "--b", "0.25", "--N", "1", "--n", "48",
+                        "--init", "trial", "--seed", "3", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_ERROR
+    assert "seed applies only to the random init" in err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"b": 0.25, "N": 1, "n": 48, "samples_per_core": 3}))
+    for command in ("minimize", "trial"):
+        code, _, err = run([command, "--config", str(cfg), "--out", str(tmp_path / "o")],
+                           capsys)
+        assert code == EXIT_ERROR
+        assert "n and samples_per_core both set the resolution" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--b", "0.2,0.25", "--N", "1", "--n", "400"],
+    ["sweep", "--b", "0.2,0.25", "--N", "1", "--seed", "3"],
+    ["trial", "--b", "0.25", "--N", "1", "--max-iter", "5"],
+    ["trial", "--b", "0.25", "--N", "1", "--seed", "3"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, tmp_path, capsys):
+    code, _, err = run(argv + ["--out", str(tmp_path)], capsys)
+    assert code == EXIT_ERROR
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_json_float_precision(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glcell.energy import DiscreteField
-from glcell.grid import TWO_PI, CellConfig, ConfigError, WrapRule, build_grid, choose_n, wrap_value
+from glcell.grid import TWO_PI, CellConfig, ConfigError, WrapRule, build_grid, wrap_value
 
 
 def test_config_validation():
@@ -18,15 +18,6 @@ def test_config_validation():
         CellConfig(b=0.01, N=16, n=64)
     with pytest.raises(ConfigError):
         CellConfig(b=0.5, N=1, n=8)
-
-
-def test_choose_n_resolution_rule():
-    for b in (0.5, 0.1, 0.02):
-        for N in (1, 4, 16):
-            n = choose_n(b, N)
-            R = math.sqrt(TWO_PI * N)
-            assert R / n <= math.sqrt(b) / 8.0 + 1e-12
-    assert choose_n(0.1, 4, multiple_of=8) % 8 == 0
 
 
 def test_grid_coords():

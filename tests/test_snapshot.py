@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glcell.energy import DiscreteField, energy
 from glcell.grid import CellConfig, WrapRule, build_grid
@@ -28,6 +31,38 @@ def test_round_trip_bit_identical(tmp_path):
     pay1 = p1.read_bytes().split(b"\n", 1)[1]
     pay2 = p2.read_bytes().split(b"\n", 1)[1]
     assert pay1 == pay2
+
+
+@st.composite
+def snapshot_fields(draw):
+    # the grid rule h = R/n <= sqrt(b)/8 with b < 1 needs n > 8R, so n >= 21
+    # at N = 1 and n >= 41 at N = 4
+    N = draw(st.sampled_from([1, 2, 4]))
+    R = math.sqrt(2.0 * math.pi * N)
+    n = draw(st.integers(math.floor(8.0 * R) + 1, 64))
+    b = draw(st.floats((8.0 * R / n) ** 2 * (1.0 + 1e-12), 1.0, exclude_max=True))
+    alpha, beta = (draw(st.floats(-2.0 * math.pi, 2.0 * math.pi)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    u = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    g = build_grid(CellConfig(b=b, N=N, n=n))
+    return DiscreteField(u=u, grid=g, wrap=WrapRule(n=n, N=N, alpha=alpha, beta=beta)), b
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(snapshot_fields())
+def test_round_trip_property(tmp_path_factory, drawn):
+    f, b = drawn
+    p = tmp_path_factory.mktemp("snap") / "f.glc"
+    write_snapshot(p, f, b)
+    back, b2 = read_snapshot(p)
+    assert b2 == b
+    assert (back.grid.n, back.grid.N) == (f.grid.n, f.grid.N)
+    # repr tells -0.0 from 0.0 and reads back as the same float64
+    assert [repr(x) for x in (back.wrap.alpha, back.wrap.beta)] == \
+        [repr(x) for x in (f.wrap.alpha, f.wrap.beta)]
+    assert back.u.dtype == np.complex128
+    assert back.u.tobytes() == f.u.tobytes()
 
 
 def test_header_format(tmp_path):

@@ -6,17 +6,51 @@ import pytest
 from glcell.energy import CellOperator, energy
 from glcell.grid import CellConfig, WrapRule, build_grid
 from glcell.trial import (
+    TWO_PI,
+    CellGreen,
     TrialError,
     build_phase,
     build_trial,
-    energy_ring_estimates,
-    green_residual,
     predicted_density,
     ring_log_slope,
     solve_cell_green,
     trial_config,
 )
 from glcell.vortices import cell_boundary_loop, winding
+
+
+# oracles of solve_cell_green, computed from its spectrum
+
+
+def green_residual(green: CellGreen) -> float:
+    """Max-norm residual of the spectral equation Delta h = rhs."""
+    m, hc = green.m, green.hc
+    k = TWO_PI * np.fft.fftfreq(m, d=hc)
+    k2 = k[:, None] ** 2 + k[None, :] ** 2
+    lap = np.real(np.fft.ifft2(-k2 * green.spectrum))
+    rhs = -np.ones((m, m))
+    rhs[green.pole_index] += TWO_PI / hc**2
+    rhs -= np.mean(rhs)  # the solve only sees the mean-zero part
+    return float(np.max(np.abs(lap - rhs)))
+
+
+def energy_ring_estimates(green: CellGreen, b: float) -> tuple[float, float]:
+    """(outer, inner) Dirichlet integrals of h split at radius sqrt(b).
+
+    outer = int_{Q1 \\ B(a1, sqrt(b))} |grad h|^2, which grows like
+    2*pi*|log sqrt(b)|; inner = (1/b) int_{B} |x - a1|^2 |grad h|^2 = O(1).
+    """
+    m, hc = green.m, green.hc
+    k = TWO_PI * np.fft.fftfreq(m, d=hc)
+    gx = np.real(np.fft.ifft2(1j * k[:, None] * green.spectrum))
+    gy = np.real(np.fft.ifft2(1j * k[None, :] * green.spectrum))
+    grad2 = gx**2 + gy**2
+    y = green.coords()
+    r2 = y[:, None] ** 2 + y[None, :] ** 2
+    core = r2 < b
+    outer = float(np.sum(grad2[~core]) * hc**2)
+    inner = float(np.sum((r2 * grad2)[core]) * hc**2 / b)
+    return outer, inner
 
 
 def test_green_solver_residual():

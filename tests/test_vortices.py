@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from glcell.energy import DiscreteField, energy
@@ -97,18 +100,46 @@ def test_lattice_loops_walk_square_boundaries():
     assert winding(f, [tuple(p) for p in loop]) == winding(f, loop) == 1
 
 
+def brute_force_disk(pts, tol):
+    """Radius of the smallest disk holding pts among all pair diameters and
+    all circumcircles of non-collinear triples: the minimal enclosing disk."""
+    pairs = np.array(list(itertools.combinations(range(len(pts)), 2)), dtype=int).reshape(-1, 2)
+    triples = np.array(list(itertools.combinations(range(len(pts)), 3)), dtype=int).reshape(-1, 3)
+    p, q = pts[pairs[:, 0]], pts[pairs[:, 1]]
+    a = pts[triples[:, 0]]
+    e, f = pts[triples[:, 1]] - a, pts[triples[:, 2]] - a
+    d = 2.0 * (e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0])
+    keep = np.abs(d) > 1e-12
+    a, e, f, d = a[keep], e[keep], f[keep], d[keep]
+    ee, ff = np.sum(e * e, axis=1), np.sum(f * f, axis=1)
+    # circumcentre relative to a: 2 w.e = |e|^2 and 2 w.f = |f|^2
+    w = np.column_stack([f[:, 1] * ee - e[:, 1] * ff, e[:, 0] * ff - f[:, 0] * ee]) / d[:, None]
+    centers = np.concatenate([pts[:1], (p + q) / 2.0, a + w])
+    radii = np.concatenate([[0.0], np.hypot(*(p - q).T) / 2.0, np.hypot(*w.T)])
+    reach = np.max(np.linalg.norm(pts[None] - centers[:, None], axis=2), axis=1)
+    return float(np.min(radii[reach <= radii + tol]))
+
+
+def check_enclosing_disk(pts, rng):
+    c, r = enclosing_disk(pts, rng)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(pts))))
+    assert np.max(np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])) <= r + tol
+    assert abs(r - brute_force_disk(pts, tol)) <= tol
+
+
 def test_enclosing_disk_minimal():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        pts = rng.standard_normal((rng.integers(1, 40), 2))
-        c, r = enclosing_disk(pts, rng)
-        d = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
-        assert np.max(d) <= r + 1e-9
-        # minimality: the disk through the farthest pair is a lower bound
-        from scipy.spatial.distance import pdist
+        check_enclosing_disk(rng.standard_normal((rng.integers(1, 40), 2)), rng)
 
-        if len(pts) > 1:
-            assert r >= np.max(pdist(pts)) / 2 - 1e-9
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_enclosing_disk_minimal_on_lattice_points(points, seed):
+    # a small lattice makes collinear triples, repeated points and several
+    # points on one circle common
+    check_enclosing_disk(np.array(points, dtype=float), np.random.default_rng(seed))
 
 
 def test_find_balls_trivial_and_synthetic():

@@ -1,8 +1,9 @@
 """Sweep the optimal energy density g(b) and bracket its derivative.
 
-Runs trial-initialized minimizations on a shared grid for a short list of
-b values, prints the sweep table, and compares the centered derivative
-bracket at the middle point against the prediction g'(b) ~ |log b|/2.
+Minimizes on a shared grid for a short list of b values (the middle b from
+the trial state, the others warm from its solution), prints the sweep table,
+and compares the centered derivative bracket at the middle point against
+the prediction g'(b) ~ |log b|/2.
 """
 
 import math

@@ -145,12 +145,18 @@ def run_sweep(
     samples_per_core: int = 8,
     jobs: int = 1,
 ) -> SweepReport:
-    """Estimate g at each b from the trial state and assemble the report.
+    """Estimate g at each b and assemble the report.
 
     Every b uses the resolution demanded by the smallest b, so
-    discretization systematics largely cancel in the secant slopes.  With
-    jobs > 1 the points run in that many worker processes, capped by the
-    GLCELL_THREADS environment variable; the results do not depend on jobs.
+    discretization systematics largely cancel in the secant slopes.  The
+    middle b (index (len - 1) // 2 in increasing order) is the anchor,
+    solved cold from the trial state.  Every other point starts from the
+    anchor's solution when that lies below its own trial state, and solves
+    in the anchor's gauge (estimate_g), which is continuation with a fixed
+    topology: no point depends on another warm point.  With jobs > 1 those
+    points run in that many worker processes, capped by the GLCELL_THREADS
+    environment variable; the results do not depend on jobs.  The report's
+    points keep no `solution`.
     """
     if not b_values:
         raise AnalysisError("sweep needs at least one b value")
@@ -160,7 +166,11 @@ def run_sweep(
     if cap:
         jobs = min(jobs, max(1, int(cap)))
     configs = [CellConfig(b=b, N=N, n=n) for b in bs]
-    if jobs > 1 and len(bs) > 1:
+    mid = (len(bs) - 1) // 2
+    anchor = estimate_g(configs[mid], settings)
+    start, anchor.solution = anchor.solution, None
+    rest = configs[:mid] + configs[mid + 1:]
+    if jobs > 1 and len(rest) > 1:
         # imported here: these modules add ~35 ms to every start-up that
         # never runs a pool (serial sweeps and all other commands)
         import multiprocessing
@@ -168,10 +178,21 @@ def run_sweep(
 
         with ProcessPoolExecutor(max_workers=jobs,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            points = list(pool.map(estimate_g, configs, [settings] * len(configs)))
+            points = list(pool.map(_warm_point, rest, [settings] * len(rest),
+                                   [start] * len(rest)))
     else:
-        points = [estimate_g(config, settings) for config in configs]
+        points = [_warm_point(config, settings, start) for config in rest]
+    points.insert(mid, anchor)
     return build_sweep(points)
+
+
+def _warm_point(config: CellConfig, settings: SolverSettings | None,
+                start: DiscreteField) -> GCurvePoint:
+    """estimate_g from start, without the solution: a report keeps no fields,
+    and a worker sends none back."""
+    point = estimate_g(config, settings, start)
+    point.solution = None
+    return point
 
 
 _CSV_COLUMNS = [
@@ -211,8 +232,11 @@ def sweep_to_csv(report: SweepReport) -> str:
 
 
 def sweep_to_json(report: SweepReport) -> str:
+    """The CSV rows plus, per point, its init and wall time, which sweep.csv
+    leaves out so that it does not depend on timing or on jobs."""
     payload = {
-        "points": sweep_rows(report),
+        "points": [dict(row, start=p.start, wall_s=p.wall_s)
+                   for row, p in zip(sweep_rows(report), report.points)],
         "brackets": {repr(b): list(v) for b, v in report.brackets.items()},
     }
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)

@@ -150,8 +150,10 @@ def connection(grid: Grid, wrap: WrapRule) -> tuple[np.ndarray, np.ndarray]:
     n = grid.n
     idx = np.arange(n)
     theta_x, theta_y = link_phases(grid)
-    cx = np.exp(-1j * theta_x)
+    # theta_x varies along axis 1 only and theta_y along axis 0 only, so
+    # exponentiate the n distinct phases of each and broadcast the factors
+    cx = np.broadcast_to(np.exp(-1j * theta_x[0]), (n, n)).copy()
     cx[-1, :] *= wrap.ghost_factors(n, idx)
-    cy = np.exp(-1j * theta_y)
+    cy = np.broadcast_to(np.exp(-1j * theta_y[:, :1]), (n, n)).copy()
     cy[:, -1] *= wrap.ghost_factors(idx, n)
     return cx, cy

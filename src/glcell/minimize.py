@@ -7,8 +7,10 @@ exact quartic in the step length, so the line search takes the real root of
 its cubic derivative with the lowest energy.  The preconditioner
 (2b L + 2 sigma h^2)^-1, with L the symbol of the periodic 5-point
 Laplacian, is applied by FFT and ignores the magnetic phases.
-estimate_g gives one point of g(b): a single solve from the vortex-lattice
-trial state of the given cell.
+estimate_g gives one point of g(b): a single solve, cold from the
+vortex-lattice trial state of the given cell, or warm from a nearby solution
+in that solution's own gauge, where the preconditioner fits the covariant
+Laplacian (_minimize_in_gauge; a sweep's continuation step).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import (
+    CellOperator,
     DiscreteField,
     EnergyBreakdown,
     density_moments,
@@ -29,7 +32,7 @@ from .energy import (
     line_quartic,
     redot,
 )
-from .grid import CellConfig, WrapRule, build_grid
+from .grid import CellConfig, ConfigError, WrapRule, build_grid
 from .trial import build_trial
 
 SIGMA = 2.0  # potential shift of the preconditioner, in units of 2 h^2
@@ -84,6 +87,10 @@ class GCurvePoint:
     iterations: int | None = None     # of the minimize run
     stop_reason: str | None = None    # of the same run
     flags: list = field(default_factory=list)
+    start: str = "trial"              # the init: "trial", or "anchor" for a warm start
+    wall_s: float | None = None       # wall time of the whole point
+    # the minimizer, without its cached operator: the start of warm points
+    solution: DiscreteField | None = field(default=None, repr=False, compare=False)
 
 
 def init_state(kind: str, config: CellConfig) -> DiscreteField:
@@ -145,29 +152,25 @@ def _diverged(msg: str, diagnostics: dict) -> MinimizationError:
                              {"stop_reason": "diverged", **diagnostics})
 
 
-def minimize(
-    init: DiscreteField, b: float, settings: SolverSettings | None = None,
-    init_label: str = "custom",
-) -> MinimizationResult:
-    s = settings or SolverSettings()
-    t0 = time.perf_counter()
-    fld = init.copy()
-    g = fld.grid
-    op = fld.operator()
-    evals0 = op.evaluations
-    e0 = energy(fld, b).total
-    u = fld.u = fld.u.astype(np.complex128, copy=False)  # updated in place
+def _converged(gn: float, val: float, grid, s: SolverSettings) -> bool:
+    # every field has G >= -area/2, so the cap only bites far above the
+    # minimum, where a huge |G| would otherwise pass any gradient
+    return gn * grid.h / max(min(abs(val), grid.area), 1.0) <= s.grad_tol
+
+
+def _ncg(u: np.ndarray, op: CellOperator, b: float, s: SolverSettings,
+         e0: float) -> tuple[np.ndarray, int, str]:
+    """The NCG loop from u on op's connection: (best u, iterations, stop reason).
+
+    u is updated in place; e0, the energy at the start, sets the divergence test.
+    """
+    g = op.grid
     dxy = (np.empty_like(u), np.empty_like(u))  # D u, then D d
     c0 = np.empty(u.shape)
     grad, grad_old = np.empty_like(u), np.empty_like(u)
     pg = np.empty_like(u)
     d = np.empty_like(u)
     symbol = _kinetic_preconditioner(g.n, b, g.h)
-
-    def converged_at(gn, val):
-        # every field has G >= -area/2, so the cap only bites far above the
-        # minimum, where a huge |G| would otherwise pass any gradient
-        return gn * g.h / max(min(abs(val), g.area), 1.0) <= s.grad_tol
 
     def evaluate(it):
         val = energy_and_gradient(op, u, b, dxy, c0, grad)
@@ -192,7 +195,7 @@ def minimize(
     restart = True
     gpg_old = 1.0
     while True:
-        if converged_at(gnorm, value):
+        if _converged(gnorm, value, g, s):
             # converging onto the u = 0 saddle (G = 0 but b < 1 admits
             # negative states): kick harder and keep going
             if value > -1e-9 and kicks < 4:
@@ -241,9 +244,14 @@ def minimize(
         if value > e0 + DIVERGENCE_FACTOR * (abs(e0) + 1.0):
             raise _diverged("energy rose far above its initial value",
                             {"iteration": it, "value": value, "initial": e0, "grad_norm": gnorm})
-    # free the loop's buffers before the final evaluation allocates its own
-    del u, dxy, c0, grad, grad_old, pg, d, symbol
-    fld.u = best_u
+    return best_u, it, reason
+
+
+def _result(fld: DiscreteField, b: float, s: SolverSettings, it: int, reason: str,
+            init_label: str, t0: float, loop_evals: int) -> MinimizationResult:
+    """The result for the minimizer fld, from one final evaluation on its own operator."""
+    op = fld.operator()
+    evals0 = op.evaluations
     bd = energy(fld, b)
     grad = gradient(fld, b)
     gnorm = math.sqrt(redot(grad, grad))
@@ -252,31 +260,99 @@ def minimize(
         breakdown=bd,
         iterations=it,
         grad_norm=gnorm,
-        converged=converged_at(gnorm, bd.total),
+        converged=_converged(gnorm, bd.total, fld.grid, s),
         init_label=init_label,
         wall_time=time.perf_counter() - t0,
         stop_reason=reason,
-        operator_evals=op.evaluations - evals0,
+        operator_evals=loop_evals + op.evaluations - evals0,
     )
 
 
-def estimate_g(config: CellConfig, settings: SolverSettings | None = None) -> GCurvePoint:
-    """One point of g(b): minimize once from the trial state of the cell.
+def minimize(
+    init: DiscreteField, b: float, settings: SolverSettings | None = None,
+    init_label: str = "custom",
+) -> MinimizationResult:
+    s = settings or SolverSettings()
+    t0 = time.perf_counter()
+    fld = init.copy()
+    op = fld.operator()
+    evals0 = op.evaluations
+    e0 = energy(fld, b).total
+    # the loop updates fld.u in place and hands back the best iterate
+    fld.u, it, reason = _ncg(fld.u.astype(np.complex128, copy=False), op, b, s, e0)
+    return _result(fld, b, s, it, reason, init_label, t0, op.evaluations - evals0)
 
-    g_trial is the energy density of that trial state, an upper bound on g.
-    A MinimizationError reaches the caller with its diagnostics.
+
+def _unit_phase(u: np.ndarray) -> np.ndarray:
+    """phi = u/|u|, and 1 where u = 0."""
+    r = np.abs(u)
+    return np.divide(u, r, out=np.ones(u.shape, np.complex128), where=r > 0.0)
+
+
+def _minimize_in_gauge(start: DiscreteField, b: float, settings: SolverSettings | None,
+                       e0: float) -> MinimizationResult:
+    """minimize from start, solved in the gauge of start itself.
+
+    With phi = start.u/|start.u|, the loop runs on w = conj(phi) u = |u| and
+    the connection conj(phi(x)) c(x) phi(x + h e) (CellOperator.gauged), and
+    returns u = phi w.  Energy and gradient are exactly gauge covariant, so
+    values, stopping test and line search mean what they mean in minimize;
+    the FFT preconditioner P now acts as phi P conj(phi), which fits the
+    covariant Laplacian near start.  That makes it a warm start for fields
+    close to start, not for cold inits: from the trial state it stops on the
+    square-lattice saddle.  e0 is the energy of start at b.
     """
+    s = settings or SolverSettings()
+    t0 = time.perf_counter()
+    op = CellOperator(start.grid, start.wrap).gauged(_unit_phase(start.u))
+    w, it, reason = _ncg(np.abs(start.u).astype(np.complex128), op, b, s, e0)
+    loop_evals = op.evaluations
+    del op  # free the gauged connection before the final evaluation builds the cell's
+    w *= _unit_phase(start.u)
+    fld = DiscreteField(u=w, grid=start.grid, wrap=start.wrap)
+    return _result(fld, b, s, it, reason, "anchor", t0, loop_evals)
+
+
+def estimate_g(config: CellConfig, settings: SolverSettings | None = None,
+               start: DiscreteField | None = None) -> GCurvePoint:
+    """One point of g(b): minimize once, from the trial state of the cell or
+    from `start`.
+
+    start, a field on the config's grid (a sweep's anchor solution), is used
+    whenever its energy at b lies below the trial state's; the solve then
+    runs in start's own gauge (_minimize_in_gauge).  Otherwise, and without
+    start, the point is the cold solve from the trial state.  g_trial is the
+    energy density of the trial state, an upper bound on g.  The point keeps
+    its minimizer as `solution` and the wall time of the whole point as
+    `wall_s`.  A MinimizationError reaches the caller with its diagnostics.
+    """
+    t0 = time.perf_counter()
     b = config.b
     init = init_state("trial", config)
     grid = init.grid
-    g_trial = energy(init, b).total / grid.area
-    res = minimize(init, b, settings, init_label="trial")
+    e_trial = energy(init, b).total
+    g_trial = e_trial / grid.area
+    e_start = None
+    if start is not None:
+        if (start.grid.n, start.grid.N) != (grid.n, grid.N):
+            raise ConfigError(f"start field has n={start.grid.n}, N={start.grid.N}; "
+                              f"the point has n={grid.n}, N={grid.N}")
+        # on a fresh field, so that start never caches an operator
+        e_start = energy(DiscreteField(u=start.u, grid=start.grid, wrap=start.wrap), b).total
+    if e_start is not None and e_start < e_trial:
+        del init  # the trial state and its operator are not needed any more
+        res = _minimize_in_gauge(start, b, settings, e_start)
+    else:
+        res = minimize(init, b, settings, init_label="trial")
     g_est = res.density
     flags = ["likely not converged to ground state"] if g_est >= -1e-9 else []
     _, _, mpot = density_moments(res.field)
     zeta = (g_est + 0.5 + 0.5 * b * math.log(b)) / (b * math.log(b))
+    fld = res.field
     return GCurvePoint(
         b=b, N=config.N, R=grid.R, n=grid.n, g_est=g_est, g_trial=g_trial,
         potential_moment=mpot, zeta=zeta, iterations=res.iterations,
-        stop_reason=res.stop_reason, flags=flags,
+        stop_reason=res.stop_reason, flags=flags, start=res.init_label,
+        wall_s=time.perf_counter() - t0,
+        solution=DiscreteField(u=fld.u, grid=fld.grid, wrap=fld.wrap),  # without its operator
     )

@@ -108,6 +108,27 @@ def test_sweep_point_error_keeps_diagnostics(monkeypatch):
     with pytest.raises(MinimizationError, match="diverged: test") as info:
         run_sweep([0.2, 0.25], 1)
     assert info.value.diagnostics == {"stop_reason": "diverged", "iteration": 7}
+    monkeypatch.undo()
+
+    # the anchor solves cold and succeeds; a warm point's failure reaches
+    # the caller just the same
+    anchors = []
+    cold = glcell.minimize.minimize
+
+    def count_cold(*args, **kwargs):
+        anchors.append(args[1])
+        return cold(*args, **kwargs)
+
+    def diverge(start, b, settings, e0):
+        raise MinimizationError("minimization diverged: warm",
+                                {"stop_reason": "diverged", "iteration": 3})
+
+    monkeypatch.setattr(glcell.minimize, "minimize", count_cold)
+    monkeypatch.setattr(glcell.minimize, "_minimize_in_gauge", diverge)
+    with pytest.raises(MinimizationError, match="diverged: warm") as info:
+        run_sweep([0.2, 0.25, 0.3], 1)
+    assert anchors == [0.25]
+    assert info.value.diagnostics == {"stop_reason": "diverged", "iteration": 3}
 
 
 def test_sweep_serialization_columns():

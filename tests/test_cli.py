@@ -114,19 +114,23 @@ def test_vortices_corrupted_payload(tmp_path, capsys):
 def test_sweep_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("GLCELL_THREADS", raising=False)
     out = tmp_path / "sw"
-    code, _, _ = run(["sweep", "--b", "0.2,0.25", "--N", "1",
+    code, _, _ = run(["sweep", "--b", "0.2,0.25,0.3", "--N", "1",
                       "--out", str(out)], capsys)
     assert code == EXIT_OK
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "b,N,n,g_est,g_trial,d_lower,d_upper,pot,r0,zeta,iterations,stop_reason,flags"
-    assert len(lines) == 3
-    # the same points from two worker processes: the same bytes
-    code, _, _ = run(["sweep", "--b", "0.2,0.25", "--N", "1", "--jobs", "2",
+    assert len(lines) == 4
+    # the two points after the anchor from two worker processes: the same bytes
+    code, _, _ = run(["sweep", "--b", "0.2,0.25,0.3", "--N", "1", "--jobs", "2",
                       "--out", str(tmp_path / "sw2")], capsys)
     assert code == EXIT_OK
     assert (tmp_path / "sw2" / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
-    for point in json.loads((out / "sweep.json").read_text())["points"]:
+    points = json.loads((out / "sweep.json").read_text())["points"]
+    # the middle b is the cold anchor; the others start from its solution
+    assert [p["start"] for p in points] == ["anchor", "trial", "anchor"]
+    for point in points:
         assert point["stop_reason"] == "converged" and point["iterations"] > 0
+        assert point["wall_s"] > 0.0
 
 
 def test_sweep_threads_cap_runs_serially(tmp_path, capsys, monkeypatch):
@@ -136,11 +140,11 @@ def test_sweep_threads_cap_runs_serially(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GLCELL_THREADS", "1")
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     out = tmp_path / "sw"
-    code, _, _ = run(["sweep", "--b-list", "0.2,0.25", "--N", "1", "--jobs", "2",
+    code, _, _ = run(["sweep", "--b-list", "0.2,0.25,0.3", "--N", "1", "--jobs", "2",
                       "--out", str(out)], capsys)
     assert code == EXIT_OK
     sweep = json.loads((out / "sweep.json").read_text())
-    assert [p["b"] for p in sweep["points"]] == [0.2, 0.25]
+    assert [p["b"] for p in sweep["points"]] == [0.2, 0.25, 0.3]
 
 
 def test_sweep_single_b_flagged(tmp_path, capsys):

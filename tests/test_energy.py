@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glcell.energy import (
+    CellOperator,
     DiscreteField,
     EnergyError,
     abs2,
     covariant_differences,
     density_moments,
     energy,
+    energy_and_gradient,
     gradient,
     line_quartic,
     redot,
@@ -158,6 +162,39 @@ def test_covariant_difference_gauge_covariance():
     dx2, dy2 = covariant_differences(rot)
     assert np.max(np.abs(dx2 - np.exp(0.7j) * dx)) < 1e-12
     assert np.max(np.abs(dy2 - np.exp(0.7j) * dy)) < 1e-12
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(N=st.sampled_from([1, 4]), twisted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_gauge_covariance(N, twisted, seed):
+    # for unit-modulus phi, the operator on the links conj(phi(x)) c(x) phi(x + h e)
+    # maps conj(phi) u to conj(phi) D u; energy is invariant and the gradient
+    # maps by conj(phi)
+    b, n = 0.9, 48
+    f = make_field(b=b, N=N, n=n, seed=seed, twist=TWIST if twisted else (0.0, 0.0))
+    rng = np.random.default_rng(seed)
+    phi = np.exp(2j * np.pi * rng.random((n, n)))
+    op = CellOperator(f.grid, f.wrap)
+    gauged = op.gauged(phi)
+    w = np.conjugate(phi) * f.u
+    dx, dy = op.D(f.u)
+    gx, gy = gauged.D(w)
+    scale = np.max(np.abs(f.u))
+    assert np.max(np.abs(gx - np.conjugate(phi) * dx)) <= 1e-13 * scale
+    assert np.max(np.abs(gy - np.conjugate(phi) * dy)) <= 1e-13 * scale
+
+    def evaluate(o, v):
+        grad = np.empty_like(v)
+        val = energy_and_gradient(o, v, b, (np.empty_like(v), np.empty_like(v)),
+                                  np.empty(v.shape), grad)
+        return val, grad
+
+    val, grad = evaluate(op, f.u)
+    gval, ggrad = evaluate(gauged, w)
+    assert abs(gval - val) <= 1e-13 * max(abs(val), 1.0)
+    assert np.max(np.abs(ggrad - np.conjugate(phi) * grad)) <= 1e-13 * np.max(np.abs(grad))
+    # the gauged operator is built, not cached: the field keeps the cell's own
+    assert f.operator() is not gauged and np.array_equal(f.operator().cx, op.cx)
 
 
 def reference_differences(f):

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from glcell.energy import DiscreteField
-from glcell.grid import TWO_PI, CellConfig, ConfigError, WrapRule, build_grid, wrap_value
+from glcell.grid import (
+    TWO_PI,
+    CellConfig,
+    ConfigError,
+    WrapRule,
+    build_grid,
+    connection,
+    link_phases,
+    wrap_value,
+)
 
 
 def test_config_validation():
@@ -91,3 +100,21 @@ def test_twisted_wrap_adds_constant_phase():
     assert np.max(np.abs(ratio - np.exp(1j * alpha))) < 1e-12
     ratio = twisted.ghost_factors(j, n) / plain.ghost_factors(j, n)
     assert np.max(np.abs(ratio - np.exp(1j * beta))) < 1e-12
+
+
+@pytest.mark.parametrize("b, N, n, twist", [(0.5, 1, 32, (0.0, 0.0)), (0.9, 3, 40, (0.3, -0.7)),
+                                            (0.04, 4, 204, (0.0, 0.0))])
+def test_connection_matches_elementwise_reference(b, N, n, twist):
+    # the n distinct phases per axis, exponentiated and broadcast, give the
+    # same bits as exponentiating every link phase of the (n, n) grid
+    g = build_grid(CellConfig(b=b, N=N, n=n))
+    wrap = WrapRule(n=n, N=N, alpha=twist[0], beta=twist[1])
+    theta_x, theta_y = link_phases(g)
+    idx = np.arange(n)
+    ref_x = np.exp(-1j * np.array(theta_x))
+    ref_x[-1, :] *= wrap.ghost_factors(n, idx)
+    ref_y = np.exp(-1j * np.array(theta_y))
+    ref_y[:, -1] *= wrap.ghost_factors(idx, n)
+    cx, cy = connection(g, wrap)
+    assert np.array_equal(cx, ref_x) and np.array_equal(cy, ref_y)
+    assert cx.flags.writeable and cy.flags.writeable

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glcell.energy import DiscreteField, energy, gradient
-from glcell.grid import CellConfig, build_grid
+from glcell.grid import CellConfig, ConfigError, build_grid
 from glcell.minimize import (
     MinimizationError,
     SolverSettings,
@@ -84,6 +84,44 @@ def test_estimate_g_fixed_resolution():
     res = minimize(init_state("trial", cfg), B, s)
     assert point.g_est == res.density
     assert point.iterations == res.iterations
+
+
+def test_warm_start_from_anchor():
+    # from the b = 0.25 minimizer, the neighbours solve in its gauge to the
+    # cold answers in under half the cold iterations
+    n = trial_config(0.2, N).n
+    anchor = estimate_g(CellConfig(b=B, N=N, n=n))
+    assert anchor.start == "trial" and anchor.solution._operator is None
+    for b in (0.2, 0.3):
+        cfg = CellConfig(b=b, N=N, n=n)
+        cold = estimate_g(cfg)
+        warm = estimate_g(cfg, start=anchor.solution)
+        assert warm.start == "anchor" and warm.stop_reason == "converged"
+        assert warm.g_trial == cold.g_trial
+        assert abs(warm.g_est - cold.g_est) <= 2e-9 * abs(cold.g_est)
+        assert 2 * warm.iterations <= cold.iterations
+        # the minimizer comes back in the cell's own gauge
+        area = warm.solution.grid.area
+        assert energy(warm.solution, b).total / area == warm.g_est
+    assert anchor.solution._operator is None  # never cached on the start
+    assert energy(anchor.solution, B).total / anchor.solution.grid.area == anchor.g_est
+
+
+def test_start_above_trial_solves_cold():
+    # a start that lies above the trial state is not used: the point is the
+    # cold solve, bit for bit
+    cold = estimate_g(CFG)
+    high = init_state("uniform", CFG)
+    high.u *= 3.0  # potential (1 - 9)^2 / 2 per unit area
+    point = estimate_g(CFG, start=high)
+    assert point.start == "trial"
+    assert (point.g_est, point.iterations) == (cold.g_est, cold.iterations)
+
+
+def test_start_on_another_grid_rejected():
+    start = init_state("uniform", CellConfig(b=B, N=N, n=CFG.n + 2))
+    with pytest.raises(ConfigError, match="start field"):
+        estimate_g(CFG, start=start)
 
 
 def test_degenerate_budget_flagged():

@@ -16,13 +16,14 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import DiscreteField, density_moments
-from .grid import CellConfig
+from .grid import CellConfig, ConfigError
 from .minimize import GCurvePoint, MinimizationResult, SolverSettings, estimate_g
 from .trial import trial_config
 from .vortices import (
@@ -151,20 +152,25 @@ def run_sweep(
     discretization systematics largely cancel in the secant slopes.  The
     middle b (index (len - 1) // 2 in increasing order) is the anchor,
     solved cold from the trial state.  Every other point starts from the
-    anchor's solution when that lies below its own trial state, and solves
-    in the anchor's gauge (estimate_g), which is continuation with a fixed
-    topology: no point depends on another warm point.  With jobs > 1 those
-    points run in that many worker processes, capped by the GLCELL_THREADS
-    environment variable; the results do not depend on jobs.  The report's
-    points keep no `solution`.
+    anchor's solution when that lies below its own trial state, with the
+    preconditioner conjugated by the anchor's phase (estimate_g), which is
+    continuation with a fixed topology: no point depends on another warm
+    point.  With jobs > 1 those points run in that many worker processes,
+    capped by the GLCELL_THREADS environment variable; both must be positive
+    integers, and the results do not depend on jobs.  The report's points
+    keep no `solution`.
     """
     if not b_values:
         raise AnalysisError("sweep needs at least one b value")
-    bs = sorted(b_values)
-    n = trial_config(bs[0], N, samples_per_core=samples_per_core).n
+    if not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
     cap = os.environ.get("GLCELL_THREADS")
     if cap:
-        jobs = min(jobs, max(1, int(cap)))
+        if not (cap.isdigit() and int(cap) >= 1):
+            raise ConfigError(f"GLCELL_THREADS must be a positive integer, got {cap!r}")
+        jobs = min(jobs, int(cap))
+    bs = sorted(b_values)
+    n = trial_config(bs[0], N, samples_per_core=samples_per_core).n
     configs = [CellConfig(b=b, N=N, n=n) for b in bs]
     mid = (len(bs) - 1) // 2
     anchor = estimate_g(configs[mid], settings)

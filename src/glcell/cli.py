@@ -74,9 +74,10 @@ def _cell_config(cfg: dict) -> CellConfig:
 
 
 def _solver_settings(cfg: dict) -> SolverSettings:
+    # SolverSettings checks the values; int() would truncate a max_iter of 2.5
     default = SolverSettings()
     return SolverSettings(grad_tol=float(cfg.get("grad_tol", default.grad_tol)),
-                          max_iter=int(cfg.get("max_iter", default.max_iter)))
+                          max_iter=cfg.get("max_iter", default.max_iter))
 
 
 def cmd_minimize(args) -> int:
@@ -85,9 +86,10 @@ def cmd_minimize(args) -> int:
     if "seed" in cfg and kind != "random":
         raise ConfigError(f"seed applies only to the random init, not to {kind!r}")
     config = _cell_config(cfg)
+    settings = _solver_settings(cfg)
     outdir = Path(cfg.get("out", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    res = minimize(init_state(kind, config), config.b, _solver_settings(cfg), init_label=kind)
+    res = minimize(init_state(kind, config), config.b, settings, init_label=kind)
     write_snapshot(outdir / "field.glc", res.field, config.b)
     _write_json(outdir / "result.json", {
         "b": config.b, "N": config.N, "n": config.n, "seed": config.seed,
@@ -174,7 +176,7 @@ def cmd_sweep(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     report = run_sweep(b_values, int(cfg.get("N", 1)), settings=_solver_settings(cfg),
                        samples_per_core=int(cfg.get("samples_per_core", 8)),
-                       jobs=int(cfg.get("jobs", 1)))
+                       jobs=cfg.get("jobs", 1))
     (outdir / "sweep.csv").write_text(sweep_to_csv(report))
     (outdir / "sweep.json").write_text(sweep_to_json(report) + "\n")
     if getattr(args, "report", None) == "acceptance":

@@ -8,8 +8,8 @@ gauge invariant.  Potential term per site: (h^2/2) (1 - |u|^2)^2.  The
 The connection is a function of the field's grid and wrap rule alone
 (grid.connection).  Every covariant difference goes through one CellOperator
 per field, built on first use and cached on the field (DiscreteField.operator).
-An operator on any other connection, such as a gauge transform of the cell's
-(CellOperator.gauged), is built explicitly and never cached on a field.
+A solve in another gauge conjugates its preconditioner, not this operator
+(minimize._precondition): the energy is exactly gauge covariant.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Grid, WrapRule, connection
+from .grid import ConfigError, Grid, WrapRule, connection
 
 
 class EnergyError(ValueError):
@@ -32,31 +32,13 @@ class CellOperator:
     (D u)_x = cx * u(x + h e1) - u(x) and (D u)_y = cy * u(x + h e2) - u(x),
     where (cx, cy) = grid.connection carries the seam wrap factors, so the
     seam links need no patching.  Dt is the adjoint, Re<D u, v> = Re<u, Dt v>.
-    `links`, when given, replaces that connection by another (cx, cy).
     `evaluations` counts applications of D and Dt.
     """
 
-    def __init__(self, grid: Grid, wrap: WrapRule, links=None):
+    def __init__(self, grid: Grid, wrap: WrapRule):
         self.grid, self.wrap = grid, wrap
-        self.cx, self.cy = connection(grid, wrap) if links is None else links
+        self.cx, self.cy = connection(grid, wrap)
         self.evaluations = 0
-
-    def gauged(self, phi: np.ndarray) -> "CellOperator":
-        """The operator D' = conj(phi) D phi, for unit-modulus phi on the sites.
-
-        Its links are conj(phi(x)) c(x) phi(x + h e), seam links included, so
-        D' w = conj(phi) D (phi w), and the energy of w on D' equals the energy
-        of u = phi w on D.  Never cache the result on a field: a field's
-        operator is a function of its grid and wrap alone.
-        """
-        phi_bar = np.conjugate(phi)
-        cx = np.roll(phi, -1, axis=0)
-        cx *= self.cx
-        cx *= phi_bar
-        cy = np.roll(phi, -1, axis=1)
-        cy *= self.cy
-        cy *= phi_bar
-        return CellOperator(self.grid, self.wrap, links=(cx, cy))
 
     def D(self, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         """(dx, dy) = D u, written into `out` when given."""
@@ -98,6 +80,14 @@ class DiscreteField:
     grid: Grid
     wrap: WrapRule
     _operator: CellOperator | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, N = self.grid.n, self.grid.N
+        if np.shape(self.u) != (n, n):
+            raise ConfigError(f"field u has shape {np.shape(self.u)}; the grid needs ({n}, {n})")
+        if (self.wrap.n, self.wrap.N) != (n, N):
+            raise ConfigError(f"wrap rule has n={self.wrap.n}, N={self.wrap.N}; "
+                              f"the grid has n={n}, N={N}")
 
     def copy(self) -> "DiscreteField":
         out = replace(self, u=self.u.copy())

@@ -9,13 +9,16 @@ its cubic derivative with the lowest energy.  The preconditioner
 Laplacian, is applied by FFT and ignores the magnetic phases.
 estimate_g gives one point of g(b): a single solve, cold from the
 vortex-lattice trial state of the given cell, or warm from a nearby solution
-in that solution's own gauge, where the preconditioner fits the covariant
-Laplacian (_minimize_in_gauge; a sweep's continuation step).
+of phase phi with P conjugated to phi P conj(phi) (a sweep's continuation
+step).  The energy is gauge covariant, so that solve takes the iterates of
+NCG on conj(phi) u over phi's gauge transform of the links, where P fits the
+covariant Laplacian near the start.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -51,6 +54,13 @@ class MinimizationError(RuntimeError):
 class SolverSettings:
     grad_tol: float = 1e-8          # relative: |grad|*h / max(min(|G|, area), 1)
     max_iter: int = 20000
+
+    def __post_init__(self):
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise ConfigError(f"max_iter must be a non-negative integer, got {self.max_iter!r}")
+        if not (isinstance(self.grad_tol, numbers.Real) and math.isfinite(self.grad_tol)
+                and self.grad_tol >= 0.0):
+            raise ConfigError(f"grad_tol must be finite and non-negative, got {self.grad_tol!r}")
 
 
 @dataclass
@@ -119,17 +129,27 @@ def _kinetic_preconditioner(n: int, b: float, h: float) -> np.ndarray:
     return 1.0 / (2.0 * b * lap + 2.0 * SIGMA * h * h)
 
 
-def _precondition(grad: np.ndarray, symbol: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = ifft2(fft2(grad) * symbol), computed in place in out.
+def _precondition(grad: np.ndarray, symbol: np.ndarray, out: np.ndarray,
+                  phase: np.ndarray | None = None) -> np.ndarray:
+    """out = ifft2(fft2(grad) * symbol), or phi ifft2(fft2(conj(phi) grad) * symbol)
+    for a unit-modulus phase phi, computed in place in out.
 
     One axis at a time: with out=, numpy's fft2/ifft2 pair took 1.5 to 2.3
     times as long as these four transforms at n = 204 and 360.
     """
+    if phase is not None:
+        # conj(phi) grad = conj(conj(grad) phi), without a conjugated copy of phi
+        np.conjugate(grad, out=out)
+        out *= phase
+        grad = np.conjugate(out, out=out)
     np.fft.fft(grad, axis=1, out=out)
     np.fft.fft(out, axis=0, out=out)
     out *= symbol
     np.fft.ifft(out, axis=0, out=out)
-    return np.fft.ifft(out, axis=1, out=out)
+    np.fft.ifft(out, axis=1, out=out)
+    if phase is not None:
+        out *= phase
+    return out
 
 
 def _exact_step(slope: float, q2: float, q3: float, q4: float) -> tuple[float, float]:
@@ -159,7 +179,7 @@ def _converged(gn: float, val: float, grid, s: SolverSettings) -> bool:
 
 
 def _ncg(u: np.ndarray, op: CellOperator, b: float, s: SolverSettings,
-         e0: float) -> tuple[np.ndarray, int, str]:
+         e0: float, phase: np.ndarray | None = None) -> tuple[np.ndarray, int, str]:
     """The NCG loop from u on op's connection: (best u, iterations, stop reason).
 
     u is updated in place; e0, the energy at the start, sets the divergence test.
@@ -211,7 +231,7 @@ def _ncg(u: np.ndarray, op: CellOperator, b: float, s: SolverSettings,
             reason = "max_iter"
             break
         it += 1
-        pg = _precondition(grad, symbol, pg)
+        pg = _precondition(grad, symbol, pg, phase)
         gpg = redot(grad, pg)
         beta = 0.0
         if not (restart or it % RESTART_EVERY == 0):
@@ -247,11 +267,24 @@ def _ncg(u: np.ndarray, op: CellOperator, b: float, s: SolverSettings,
     return best_u, it, reason
 
 
-def _result(fld: DiscreteField, b: float, s: SolverSettings, it: int, reason: str,
-            init_label: str, t0: float, loop_evals: int) -> MinimizationResult:
-    """The result for the minimizer fld, from one final evaluation on its own operator."""
+def _solve(init: DiscreteField, b: float, settings: SolverSettings | None, init_label: str,
+           e0: float | None = None, phase: np.ndarray | None = None) -> MinimizationResult:
+    """NCG from a copy of init on its own operator, then one final evaluation.
+
+    e0 is init's energy at b, evaluated here when not given.  A phase
+    conjugates the preconditioner, which makes a warm start only: from the
+    trial state, with its own phase, the solve stops on the square-lattice
+    saddle.
+    """
+    s = settings or SolverSettings()
+    t0 = time.perf_counter()
+    fld = init.copy()
     op = fld.operator()
     evals0 = op.evaluations
+    if e0 is None:
+        e0 = energy(fld, b).total
+    # the loop updates fld.u in place and hands back the best iterate
+    fld.u, it, reason = _ncg(fld.u.astype(np.complex128, copy=False), op, b, s, e0, phase)
     bd = energy(fld, b)
     grad = gradient(fld, b)
     gnorm = math.sqrt(redot(grad, grad))
@@ -264,7 +297,7 @@ def _result(fld: DiscreteField, b: float, s: SolverSettings, it: int, reason: st
         init_label=init_label,
         wall_time=time.perf_counter() - t0,
         stop_reason=reason,
-        operator_evals=loop_evals + op.evaluations - evals0,
+        operator_evals=op.evaluations - evals0,
     )
 
 
@@ -272,45 +305,13 @@ def minimize(
     init: DiscreteField, b: float, settings: SolverSettings | None = None,
     init_label: str = "custom",
 ) -> MinimizationResult:
-    s = settings or SolverSettings()
-    t0 = time.perf_counter()
-    fld = init.copy()
-    op = fld.operator()
-    evals0 = op.evaluations
-    e0 = energy(fld, b).total
-    # the loop updates fld.u in place and hands back the best iterate
-    fld.u, it, reason = _ncg(fld.u.astype(np.complex128, copy=False), op, b, s, e0)
-    return _result(fld, b, s, it, reason, init_label, t0, op.evaluations - evals0)
+    return _solve(init, b, settings, init_label)
 
 
 def _unit_phase(u: np.ndarray) -> np.ndarray:
     """phi = u/|u|, and 1 where u = 0."""
     r = np.abs(u)
     return np.divide(u, r, out=np.ones(u.shape, np.complex128), where=r > 0.0)
-
-
-def _minimize_in_gauge(start: DiscreteField, b: float, settings: SolverSettings | None,
-                       e0: float) -> MinimizationResult:
-    """minimize from start, solved in the gauge of start itself.
-
-    With phi = start.u/|start.u|, the loop runs on w = conj(phi) u = |u| and
-    the connection conj(phi(x)) c(x) phi(x + h e) (CellOperator.gauged), and
-    returns u = phi w.  Energy and gradient are exactly gauge covariant, so
-    values, stopping test and line search mean what they mean in minimize;
-    the FFT preconditioner P now acts as phi P conj(phi), which fits the
-    covariant Laplacian near start.  That makes it a warm start for fields
-    close to start, not for cold inits: from the trial state it stops on the
-    square-lattice saddle.  e0 is the energy of start at b.
-    """
-    s = settings or SolverSettings()
-    t0 = time.perf_counter()
-    op = CellOperator(start.grid, start.wrap).gauged(_unit_phase(start.u))
-    w, it, reason = _ncg(np.abs(start.u).astype(np.complex128), op, b, s, e0)
-    loop_evals = op.evaluations
-    del op  # free the gauged connection before the final evaluation builds the cell's
-    w *= _unit_phase(start.u)
-    fld = DiscreteField(u=w, grid=start.grid, wrap=start.wrap)
-    return _result(fld, b, s, it, reason, "anchor", t0, loop_evals)
 
 
 def estimate_g(config: CellConfig, settings: SolverSettings | None = None,
@@ -320,10 +321,10 @@ def estimate_g(config: CellConfig, settings: SolverSettings | None = None,
 
     start, a field on the config's grid (a sweep's anchor solution), is used
     whenever its energy at b lies below the trial state's; the solve then
-    runs in start's own gauge (_minimize_in_gauge).  Otherwise, and without
-    start, the point is the cold solve from the trial state.  g_trial is the
-    energy density of the trial state, an upper bound on g.  The point keeps
-    its minimizer as `solution` and the wall time of the whole point as
+    conjugates the preconditioner by phi = start.u/|start.u|.  Otherwise, and
+    without start, the point is the cold solve from the trial state.  g_trial
+    is the energy density of the trial state, an upper bound on g.  The point
+    keeps its minimizer as `solution` and the wall time of the whole point as
     `wall_s`.  A MinimizationError reaches the caller with its diagnostics.
     """
     t0 = time.perf_counter()
@@ -337,12 +338,15 @@ def estimate_g(config: CellConfig, settings: SolverSettings | None = None,
         if (start.grid.n, start.grid.N) != (grid.n, grid.N):
             raise ConfigError(f"start field has n={start.grid.n}, N={start.grid.N}; "
                               f"the point has n={grid.n}, N={grid.N}")
-        # on a fresh field, so that start never caches an operator
-        e_start = energy(DiscreteField(u=start.u, grid=start.grid, wrap=start.wrap), b).total
+        # a fresh field, so that start never caches an operator; the solve
+        # copies it together with the operator this energy builds
+        warm = DiscreteField(u=start.u, grid=start.grid, wrap=start.wrap)
+        e_start = energy(warm, b).total
     if e_start is not None and e_start < e_trial:
         del init  # the trial state and its operator are not needed any more
-        res = _minimize_in_gauge(start, b, settings, e_start)
+        res = _solve(warm, b, settings, "anchor", e_start, _unit_phase(start.u))
     else:
+        warm = None  # free the start's operator before the cold solve
         res = minimize(init, b, settings, init_label="trial")
     g_est = res.density
     flags = ["likely not converged to ground state"] if g_est >= -1e-9 else []

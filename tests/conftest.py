@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glcell.energy import DiscreteField
+from glcell.energy import CellOperator, DiscreteField
 from glcell.grid import wrap_value
 from glcell.minimize import SolverSettings, init_state, minimize
 from glcell.trial import trial_config
@@ -51,3 +51,25 @@ def magnetic_translate():
     onto itself and leave the discrete energy invariant.
     """
     return _magnetic_translate
+
+
+def _gauged_operator(grid, wrap, phi):
+    """The cell operator conjugated by unit-modulus phi: D' = conj(phi) D phi.
+
+    Its links are conj(phi(x)) c(x) phi(x + h e), seam links included, so
+    D' w = conj(phi) D (phi w), and the energy of w on D' equals the energy
+    of u = phi w on D.  A reference for the conjugated preconditioner, which
+    the solver uses in place of these links.
+    """
+    op = CellOperator(grid, wrap)
+    phi_bar = np.conjugate(phi)
+    op.cx = np.roll(phi, -1, axis=0) * op.cx * phi_bar
+    op.cy = np.roll(phi, -1, axis=1) * op.cy * phi_bar
+    return op
+
+
+@pytest.fixture(scope="session")
+def gauged_operator():
+    """gauged_operator(grid, wrap, phi): the CellOperator on phi's gauge
+    transform of the cell's links, built here and never cached on a field."""
+    return _gauged_operator

@@ -119,12 +119,16 @@ def test_sweep_point_error_keeps_diagnostics(monkeypatch):
         anchors.append(args[1])
         return cold(*args, **kwargs)
 
-    def diverge(start, b, settings, e0):
+    solve = glcell.minimize._solve
+
+    def diverge(init, b, settings, init_label, e0=None, phase=None):
+        if phase is None:  # the cold solve, inside minimize
+            return solve(init, b, settings, init_label, e0, phase)
         raise MinimizationError("minimization diverged: warm",
                                 {"stop_reason": "diverged", "iteration": 3})
 
     monkeypatch.setattr(glcell.minimize, "minimize", count_cold)
-    monkeypatch.setattr(glcell.minimize, "_minimize_in_gauge", diverge)
+    monkeypatch.setattr(glcell.minimize, "_solve", diverge)
     with pytest.raises(MinimizationError, match="diverged: warm") as info:
         run_sweep([0.2, 0.25, 0.3], 1)
     assert anchors == [0.25]

@@ -61,6 +61,16 @@ def test_minimize_maxiter_exit_code(tmp_path, capsys):
     assert result["stop_reason"] == "max_iter" and result["iterations"] == 2
 
 
+@pytest.mark.parametrize("flags", [["--max-iter", "-5"], ["--grad-tol", "nan"],
+                                   ["--grad-tol", "-1"]])
+def test_minimize_bad_solver_settings(flags, tmp_path, capsys):
+    code, _, err = run(["minimize", "--b", "0.25", "--N", "1", "--n", "48",
+                        "--out", str(tmp_path / "o"), *flags], capsys)
+    assert code == EXIT_ERROR
+    assert flags[0][2:].replace("-", "_") in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_trial_report(tmp_path, capsys):
     out = tmp_path / "t"
     code, stdout, _ = run(["trial", "--b", "0.04", "--N", "4", "--out", str(out)],
@@ -145,6 +155,21 @@ def test_sweep_threads_cap_runs_serially(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     sweep = json.loads((out / "sweep.json").read_text())
     assert [p["b"] for p in sweep["points"]] == [0.2, 0.25, 0.3]
+
+
+@pytest.mark.parametrize("jobs, threads", [("0", None), ("-3", None), ("2", "0"),
+                                           ("2", "-4"), ("1", "two")])
+def test_sweep_jobs_and_threads_must_be_positive(jobs, threads, tmp_path, capsys,
+                                                 monkeypatch):
+    if threads is None:
+        monkeypatch.delenv("GLCELL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("GLCELL_THREADS", threads)
+    code, _, err = run(["sweep", "--b", "0.2,0.25,0.3", "--N", "1", "--jobs", jobs,
+                        "--out", str(tmp_path)], capsys)
+    assert code == EXIT_ERROR
+    assert ("GLCELL_THREADS" if threads else "jobs") in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_single_b_flagged(tmp_path, capsys):

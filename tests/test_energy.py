@@ -19,7 +19,7 @@ from glcell.energy import (
     line_quartic,
     redot,
 )
-from glcell.grid import CellConfig, WrapRule, build_grid, link_phases, wrap_value
+from glcell.grid import CellConfig, ConfigError, WrapRule, build_grid, link_phases, wrap_value
 
 TWIST = (0.3, -0.7)  # wrap twists (alpha, beta)
 
@@ -166,7 +166,7 @@ def test_covariant_difference_gauge_covariance():
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(N=st.sampled_from([1, 4]), twisted=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_gauge_covariance(N, twisted, seed):
+def test_gauge_covariance(gauged_operator, N, twisted, seed):
     # for unit-modulus phi, the operator on the links conj(phi(x)) c(x) phi(x + h e)
     # maps conj(phi) u to conj(phi) D u; energy is invariant and the gradient
     # maps by conj(phi)
@@ -175,7 +175,7 @@ def test_gauge_covariance(N, twisted, seed):
     rng = np.random.default_rng(seed)
     phi = np.exp(2j * np.pi * rng.random((n, n)))
     op = CellOperator(f.grid, f.wrap)
-    gauged = op.gauged(phi)
+    gauged = gauged_operator(f.grid, f.wrap, phi)
     w = np.conjugate(phi) * f.u
     dx, dy = op.D(f.u)
     gx, gy = gauged.D(w)
@@ -195,6 +195,23 @@ def test_gauge_covariance(N, twisted, seed):
     assert np.max(np.abs(ggrad - np.conjugate(phi) * grad)) <= 1e-13 * np.max(np.abs(grad))
     # the gauged operator is built, not cached: the field keeps the cell's own
     assert f.operator() is not gauged and np.array_equal(f.operator().cx, op.cx)
+
+
+def test_field_must_match_its_grid():
+    # a wrong wrap rule would silently change the energy (the trial state at
+    # b = 0.5 has G = -0.437 on its N=4, n=64 grid and 114.38 with a
+    # WrapRule(n=64, N=2)), and a wrong shape would fail deep inside D
+    g = build_grid(CellConfig(b=0.5, N=4, n=64))
+    u = np.ones((64, 64), dtype=complex)
+    with pytest.raises(ConfigError, match=r"wrap rule has n=64, N=2; the grid has n=64, N=4"):
+        DiscreteField(u=u, grid=g, wrap=WrapRule(n=64, N=2))
+    with pytest.raises(ConfigError, match=r"wrap rule has n=32, N=4"):
+        DiscreteField(u=u, grid=g, wrap=WrapRule(n=32, N=4))
+    with pytest.raises(ConfigError, match=r"shape \(32, 32\); the grid needs \(64, 64\)"):
+        DiscreteField(u=u[:32, :32], grid=g, wrap=WrapRule(n=64, N=4))
+    f = DiscreteField(u=u, grid=g, wrap=WrapRule(n=64, N=4, alpha=0.3))
+    with pytest.raises(ConfigError, match="shape"):
+        dataclasses.replace(f, u=u[:, :63])
 
 
 def reference_differences(f):

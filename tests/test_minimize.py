@@ -9,7 +9,9 @@ from glcell.minimize import (
     MinimizationError,
     SolverSettings,
     _kinetic_preconditioner,
+    _ncg,
     _precondition,
+    _unit_phase,
     estimate_g,
     init_state,
     minimize,
@@ -87,8 +89,8 @@ def test_estimate_g_fixed_resolution():
 
 
 def test_warm_start_from_anchor():
-    # from the b = 0.25 minimizer, the neighbours solve in its gauge to the
-    # cold answers in under half the cold iterations
+    # from the b = 0.25 minimizer, the neighbours solve with the preconditioner
+    # conjugated by its phase to the cold answers in under half the cold iterations
     n = trial_config(0.2, N).n
     anchor = estimate_g(CellConfig(b=B, N=N, n=n))
     assert anchor.start == "trial" and anchor.solution._operator is None
@@ -142,6 +144,14 @@ def test_submodules_are_not_shadowed():
     assert E.energy is energy
 
 
+@pytest.mark.parametrize("bad", [{"max_iter": -5}, {"max_iter": 2.5}, {"max_iter": "100"},
+                                 {"grad_tol": -1e-3}, {"grad_tol": "1e-8"},
+                                 {"grad_tol": float("nan")}, {"grad_tol": float("inf")}])
+def test_solver_settings_reject_bad_values(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        SolverSettings(**bad)
+
+
 def test_stop_reason_max_iter():
     res = minimize(init_state("random", CFG), B, SolverSettings(max_iter=3, grad_tol=1e-14))
     assert res.stop_reason == "max_iter"
@@ -175,16 +185,36 @@ def test_nonfinite_step_raises_minimization_error():
 
 @pytest.mark.parametrize("n", [204, 360])
 def test_precondition_matches_2d_fft(n):
+    # plain, and conjugated by a unit-modulus phase: phi ifft2(fft2(conj(phi) g) symbol)
     rng = np.random.default_rng(n)
     grad = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     before = grad.copy()
     symbol = _kinetic_preconditioner(n, 0.05, 0.2)
-    out = np.empty_like(grad)
-    got = _precondition(grad, symbol, out)
-    want = np.fft.ifft2(np.fft.fft2(before) * symbol)
-    assert got is out
-    assert np.array_equal(grad, before)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    phi = np.exp(2j * np.pi * rng.random((n, n)))
+    for phase, want in ((None, np.fft.ifft2(np.fft.fft2(before) * symbol)),
+                        (phi, phi * np.fft.ifft2(np.fft.fft2(np.conjugate(phi) * before) * symbol))):
+        out = np.empty_like(grad)
+        got = _precondition(grad, symbol, out, phase)
+        assert got is out
+        assert np.array_equal(grad, before)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("b0, b, N, n", [(0.25, 0.3, 1, 48), (0.5, 0.55, 4, 64)])
+def test_conjugated_preconditioner_matches_gauged_links(b0, b, N, n, gauged_operator):
+    # NCG with phi P conj(phi) on the cell's own operator takes the iterates of
+    # plain NCG on w = conj(phi) u over phi's gauge transform of the links,
+    # from a warm start as in a sweep
+    start = estimate_g(CellConfig(b=b0, N=N, n=n)).solution
+    phi = _unit_phase(start.u)
+    e0 = energy(start, b).total
+    s = SolverSettings()
+    u, it, reason = _ncg(start.u.copy(), start.operator(), b, s, e0, phi)
+    w, it_w, reason_w = _ncg(np.conjugate(phi) * start.u,
+                             gauged_operator(start.grid, start.wrap, phi), b, s, e0)
+    assert reason == reason_w == "converged"
+    assert it == it_w > 10
+    assert np.max(np.abs(phi * w - u)) <= 1e-12
 
 
 B4, CFG4 = 0.25, trial_config(0.25, 4)

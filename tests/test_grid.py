@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glcell.energy import DiscreteField
 from glcell.grid import (
@@ -76,6 +78,35 @@ def test_wrap_orders_commute_exactly():
         units_yx = (-q * N * (2 * i - n) + p * N * (2 * j0 - n)) % (4 * n)
         other = np.exp(1j * (math.pi * units_yx / (2 * n))) * u[i0, j0]
         assert np.array_equal(wrap_value(u, wrap, i, j), other)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(16, 96), st.sampled_from([1, 4, 9]), st.integers(-3, 2), st.integers(-3, 2),
+       st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+def test_wrap_cocycle_commutes(n, N, p, q, fi, fj, alpha, beta):
+    # one period in x then one in y, each by the continuum rule at the
+    # unreduced position (crossing x multiplies by exp(i(R x2/2 + alpha)),
+    # crossing y by exp(i(-R x1/2 + beta))), reaches the factor of the other
+    # order because R^2 = 2 pi N, and the ghost rule gives the same factor
+    # from (i, j) to (i + n, j + n); (i, j) lie within three periods of the
+    # cell, where the continuum phases stay small enough for 1e-13
+    i, j = p * n + int(fi * n), q * n + int(fj * n)
+    R = math.sqrt(TWO_PI * N)
+    h = R / n
+
+    def step_x(j):
+        return np.exp(1j * (R * (-R / 2 + j * h) / 2 + alpha))
+
+    def step_y(i):
+        return np.exp(1j * (-R * (-R / 2 + i * h) / 2 + beta))
+
+    x_then_y = step_x(j) * step_y(i + n)
+    y_then_x = step_y(i) * step_x(j + n)
+    assert abs(x_then_y - y_then_x) < 1e-13
+    wrap = WrapRule(n=n, N=N, alpha=alpha, beta=beta)
+    rule = wrap.ghost_factors(i + n, j + n) * np.conj(wrap.ghost_factors(i, j))
+    assert abs(rule - x_then_y) < 1e-13
 
 
 def test_wrap_identity_inside_cell():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from glcell.trial import build_trial, trial_config
 from glcell.vortices import (
     DiscreteMeasure,
     VortexError,
+    VorticityField,
+    _component_disk,
     _components,
     _square_loop,
     _torus_delta,
@@ -25,6 +28,7 @@ from glcell.vortices import (
     supercurrent,
     uniform_measure,
     vorticity,
+    vorticity_measure,
     winding,
 )
 
@@ -140,6 +144,52 @@ def test_enclosing_disk_minimal_on_lattice_points(points, seed):
     # a small lattice makes collinear triples, repeated points and several
     # points on one circle common
     check_enclosing_disk(np.array(points, dtype=float), np.random.default_rng(seed))
+
+
+def test_enclosing_disk_rejects_bad_points():
+    # a NaN point used to give ((nan, nan), nan) without a word
+    pts = np.array([[0.0, 0.0], [1.0, 0.5], [np.nan, 0.2]])
+    with pytest.raises(VortexError, match="non-finite"):
+        enclosing_disk(pts)
+    pts[2] = [np.inf, 0.2]
+    with pytest.raises(VortexError, match="non-finite"):
+        enclosing_disk(pts)
+    for bad in (np.zeros((4, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(VortexError, match=r"\(k, 2\)"):
+            enclosing_disk(bad)
+    with pytest.raises(VortexError, match="empty"):
+        enclosing_disk(np.zeros((0, 2)))
+
+
+def grow_blob(start, moves):
+    """Unwrapped sites of a 4-connected lattice blob: each move adds the
+    neighbour in direction move[1] of the site drawn by move[0]."""
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    sites = [start]
+    for pick, direction in moves:
+        i, j = sites[pick % len(sites)]
+        di, dj = steps[direction]
+        if (i + di, j + dj) not in sites:
+            sites.append((i + di, j + dj))
+    return np.array(sites)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.tuples(*[st.one_of(st.integers(-3, 3), st.integers(0, 95))] * 2),
+       st.lists(st.tuples(st.integers(0, 63), st.integers(0, 3)), min_size=4, max_size=40))
+def test_component_disk_matches_all_sites(start, moves):
+    # the disk of each row's extreme sites is the disk of every site; starts
+    # within 3 sites of index 0 put many blobs across one or both seams
+    g = build_grid(CellConfig(b=0.5, N=1, n=96))
+    blob = grow_blob(start, moves)
+    wrapped = np.mod(blob, g.n)
+    order = np.lexsort((wrapped[:, 1], wrapped[:, 0]))
+    c, r = _component_disk(wrapped[order], g)
+    want_c, want_r = enclosing_disk(-g.R / 2 + blob * g.h)
+    tol = 1e-12 * g.R
+    assert abs(r - want_r) <= tol
+    assert math.hypot(*_torus_delta(c, want_c, g.R)) <= tol
+    assert all(-g.R / 2 <= x < g.R / 2 for x in c)
 
 
 def test_find_balls_trivial_and_synthetic():
@@ -390,6 +440,42 @@ def test_dual_distance_rejects_nonfinite_measures():
     for mu_a, mu_b in bad:
         with pytest.raises(VortexError, match="non-finite"):
             lipschitz_dual_distance(mu_a, mu_b, dom, 3)
+
+
+def test_discrete_measure_rejects_mismatched_shapes():
+    # 5 atoms with one weight used to report mass 1.0 while the pairing gave
+    # every atom weight 1, and (k, 3) points silently lost a column
+    pts = np.random.default_rng(2).uniform(0.0, 1.0, (5, 2))
+    bad = [
+        (pts, np.array([1.0])),
+        (np.column_stack([pts, pts[:, :1]]), np.ones(5)),
+        (pts[:, 0], np.ones(5)),
+        (pts, np.ones((5, 1))),
+        (pts[:0], np.ones(1)),
+    ]
+    for points, weights in bad:
+        with pytest.raises(VortexError, match=r"\(k, 2\)"):
+            DiscreteMeasure(points=points, weights=weights)
+    assert DiscreteMeasure(points=pts, weights=np.ones(5)).mass == 5.0
+    assert DiscreteMeasure(points=np.zeros((0, 2)), weights=np.zeros(0)).mass == 0.0
+
+
+def test_dual_distance_memory_is_chunk_bounded():
+    # the per-level pairing works in blocks of atoms, so its temporaries do
+    # not grow with the n^2 atoms of a plaquette-centre measure
+    n, N = 568, 16
+    R = math.sqrt(TWO_PI * N)
+    mu = np.random.default_rng(5).normal(size=(n, n))
+    atoms = vorticity_measure(VorticityField(mu=mu, total_mass=0.0, h=R / n, R=R))
+    dom = (-R / 2, R / 2, -R / 2, R / 2)
+    leb = uniform_measure(dom, 1.0)
+    tracemalloc.start()
+    try:
+        lipschitz_dual_distance(atoms, leb, dom, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_uniform_measure_pairing():

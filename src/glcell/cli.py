@@ -87,9 +87,10 @@ def cmd_minimize(args) -> int:
         raise ConfigError(f"seed applies only to the random init, not to {kind!r}")
     config = _cell_config(cfg)
     settings = _solver_settings(cfg)
+    init = init_state(kind, config)  # an unknown kind fails before the output exists
     outdir = Path(cfg.get("out", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    res = minimize(init_state(kind, config), config.b, settings, init_label=kind)
+    res = minimize(init, config.b, settings, init_label=kind)
     write_snapshot(outdir / "field.glc", res.field, config.b)
     _write_json(outdir / "result.json", {
         "b": config.b, "N": config.N, "n": config.n, "seed": config.seed,
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--n", type=int)
     p_min.add_argument("--seed", type=int)
     solver(p_min)
-    p_min.add_argument("--init", choices=["uniform", "random", "trial", "zero"])
+    p_min.add_argument("--init", choices=["uniform", "random", "trial"])
     p_min.set_defaults(func=cmd_minimize, requires_b=True)
 
     p_tr = sub.add_parser("trial", help="build the vortex-lattice trial state")

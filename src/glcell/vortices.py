@@ -556,7 +556,8 @@ def lipschitz_dual_distance(
     in the support of at most 4 tents per depth: per axis, the tent of its
     own cell and the one of the neighbouring cell on the nearer side.  Each
     depth therefore costs O(atoms + tents), not O(atoms * tents).  The
-    witness is the first maximum in (depth, ii, jj) order.
+    witness is the first tent in (depth, ii, jj) order within 1e-12 relative
+    of the maximum, or (0, 0, 0) when every pairing is 0.
     """
     if dictionary_depth < 0:
         raise VortexError("empty dictionary")
@@ -566,8 +567,7 @@ def lipschitz_dual_distance(
             raise VortexError("measure has a non-finite atom point, weight or density")
     x_lo, x_hi, y_lo, y_hi = domain
     Lx, Ly = x_hi - x_lo, y_hi - y_lo
-    best = 0.0
-    witness = (0.0, 0.0, 0.0)
+    levels = []  # (values, cx, cy, s) per depth
     count = 0
     for depth in range(dictionary_depth + 1):
         nx = 2**depth
@@ -582,13 +582,17 @@ def lipschitz_dual_distance(
             continue
         count += int(np.count_nonzero(valid))
         pa, pb = (_level_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, s) for mu in (mu_a, mu_b))
-        val = np.where(valid, np.abs(pa - pb), 0.0)
-        ii, jj = np.unravel_index(np.argmax(val), val.shape)
-        if val[ii, jj] > best:
-            best = float(val[ii, jj])
-            witness = (float(cx[ii]), float(cy[jj]), float(s[ii, jj]))
+        levels.append((np.where(valid, np.abs(pa - pb), 0.0), cx, cy, s))
     if count == 0:
         raise VortexError("empty dictionary")
+    best = max(float(val.max()) for val, *_ in levels)
+    # the first tent within 1e-12 relative of the maximum: mirror tents that
+    # tie to rounding would otherwise swap with the summation order
+    tie = (1.0 - 1e-12) * best
+    val, cx, cy, s = next(lv for lv in levels if lv[0].max() >= tie)
+    ii, jj = np.unravel_index(np.argmax(val >= tie), val.shape)
+    witness = ((float(cx[ii]), float(cy[jj]), float(s[ii, jj])) if best > 0.0
+               else (0.0, 0.0, 0.0))
     return MeasureDistanceReport(
         estimate=best,
         dictionary=f"radial tents, dyadic depths 0..{dictionary_depth}, {count} elements",

@@ -121,9 +121,9 @@ def test_sweep_point_error_keeps_diagnostics(monkeypatch):
 
     solve = glcell.minimize._solve
 
-    def diverge(init, b, settings, init_label, e0=None, phase=None):
+    def diverge(init, b, settings, init_label, phase=None):
         if phase is None:  # the cold solve, inside minimize
-            return solve(init, b, settings, init_label, e0, phase)
+            return solve(init, b, settings, init_label, phase)
         raise MinimizationError("minimization diverged: warm",
                                 {"stop_reason": "diverged", "iteration": 3})
 

@@ -71,6 +71,21 @@ def test_minimize_bad_solver_settings(flags, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_minimize_rejects_zero_init(tmp_path, capsys):
+    # u = 0 is an exact critical point, not a start: the flag and the config
+    # key both refuse it, the latter before the output directory is made
+    code, _, err = run(["minimize", "--b", "0.25", "--N", "1", "--n", "48",
+                        "--init", "zero", "--out", str(tmp_path / "f")], capsys)
+    assert code == EXIT_ERROR and "invalid choice" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": 0.25, "N": 1, "n": 48, "init": "zero"}))
+    code, _, err = run(["minimize", "--config", str(cfg), "--out", str(tmp_path / "o")],
+                       capsys)
+    assert code == EXIT_ERROR
+    assert "unknown init kind" in err
+    assert not (tmp_path / "f").exists() and not (tmp_path / "o").exists()
+
+
 def test_trial_report(tmp_path, capsys):
     out = tmp_path / "t"
     code, stdout, _ = run(["trial", "--b", "0.04", "--N", "4", "--out", str(out)],

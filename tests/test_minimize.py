@@ -23,25 +23,17 @@ CFG = trial_config(B, N)
 
 
 def test_init_kinds():
-    for kind in ("uniform", "random", "trial", "zero"):
+    for kind in ("uniform", "random", "trial"):
         f = init_state(kind, CFG)
         assert f.u.shape == (CFG.n, CFG.n)
-    with pytest.raises(ValueError, match="unknown init"):
-        init_state("bogus", CFG)
+    for kind in ("bogus", "zero"):
+        with pytest.raises(ValueError, match="unknown init"):
+            init_state(kind, CFG)
     # random init is reproducible for a fixed seed
     a = init_state("random", dataclasses.replace(CFG, seed=5))
     c = init_state("random", dataclasses.replace(CFG, seed=5))
     assert np.array_equal(a.u, c.u)
     assert not np.array_equal(a.u, init_state("random", CFG).u)
-
-
-def test_zero_init_escapes_saddle():
-    # u = 0 is an exact critical point but unstable for b < 1: the solver
-    # must kick off it and reach negative energy
-    res = minimize(init_state("zero", CFG), B, SolverSettings(max_iter=3000), "zero")
-    assert res.breakdown.total < -1e-3
-    assert res.converged
-    assert res.stop_reason == "converged"
 
 
 def test_minimizer_below_trial_and_zero():
@@ -56,12 +48,17 @@ def test_minimizer_below_trial_and_zero():
 
 
 def test_best_seen_monotone():
-    # the returned state is never worse than the initial one
+    # the solver returns its last iterate, which must be its best: the loop is
+    # deterministic, so the run with max_iter = k is a prefix of the run with
+    # k + 1, and the final energy may not rise from one prefix to the next
     for kind in ("uniform", "random"):
         init = init_state(kind, CFG)
-        e0 = energy(init, B).total
-        res = minimize(init, B, SolverSettings(max_iter=50, grad_tol=1e-14), kind)
-        assert res.breakdown.total <= e0 + 1e-12
+        prev = energy(init, B).total
+        for k in range(60):
+            res = minimize(init, B, SolverSettings(max_iter=k, grad_tol=1e-14), kind)
+            assert res.iterations <= k
+            assert res.breakdown.total <= prev + 1e-12 * abs(prev), (kind, k)
+            prev = res.breakdown.total
 
 
 def test_estimate_g_protocol():
@@ -207,11 +204,10 @@ def test_conjugated_preconditioner_matches_gauged_links(b0, b, N, n, gauged_oper
     # from a warm start as in a sweep
     start = estimate_g(CellConfig(b=b0, N=N, n=n)).solution
     phi = _unit_phase(start.u)
-    e0 = energy(start, b).total
     s = SolverSettings()
-    u, it, reason = _ncg(start.u.copy(), start.operator(), b, s, e0, phi)
-    w, it_w, reason_w = _ncg(np.conjugate(phi) * start.u,
-                             gauged_operator(start.grid, start.wrap, phi), b, s, e0)
+    u, w = start.u.copy(), np.conjugate(phi) * start.u  # updated in place
+    it, reason = _ncg(u, start.operator(), b, s, phi)
+    it_w, reason_w = _ncg(w, gauged_operator(start.grid, start.wrap, phi), b, s)
     assert reason == reason_w == "converged"
     assert it == it_w > 10
     assert np.max(np.abs(phi * w - u)) <= 1e-12

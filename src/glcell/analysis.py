@@ -238,10 +238,11 @@ def sweep_to_csv(report: SweepReport) -> str:
 
 
 def sweep_to_json(report: SweepReport) -> str:
-    """The CSV rows plus, per point, its init and wall time, which sweep.csv
-    leaves out so that it does not depend on timing or on jobs."""
+    """The CSV rows plus, per point, its init, restart count and wall time,
+    which sweep.csv leaves out (its columns stay fixed, and it does not depend
+    on timing or on jobs)."""
     payload = {
-        "points": [dict(row, start=p.start, wall_s=p.wall_s)
+        "points": [dict(row, start=p.start, restarts=p.restarts, wall_s=p.wall_s)
                    for row, p in zip(sweep_rows(report), report.points)],
         "brackets": {repr(b): list(v) for b, v in report.brackets.items()},
     }

@@ -61,22 +61,20 @@ def _load_config(args) -> dict:
     return cfg
 
 
+# values pass through unconverted: CellConfig, trial_config and SolverSettings
+# check their types, where int() would truncate an N of 4.7 and parse a "4"
 def _cell_config(cfg: dict) -> CellConfig:
-    b = cfg["b"]
-    N = int(cfg.get("N", 1))
-    n = cfg.get("n")
+    b, N, n, seed = cfg["b"], cfg.get("N", 1), cfg.get("n"), cfg.get("seed", 0)
     if n is None:
-        return trial_config(b, N, samples_per_core=int(cfg.get("samples_per_core", 8)),
-                            seed=int(cfg.get("seed", 0)))
+        return trial_config(b, N, samples_per_core=cfg.get("samples_per_core", 8), seed=seed)
     if "samples_per_core" in cfg:
         raise ConfigError("n and samples_per_core both set the resolution; give one")
-    return CellConfig(b=b, N=N, n=int(n), seed=int(cfg.get("seed", 0)))
+    return CellConfig(b=b, N=N, n=n, seed=seed)
 
 
 def _solver_settings(cfg: dict) -> SolverSettings:
-    # SolverSettings checks the values; int() would truncate a max_iter of 2.5
     default = SolverSettings()
-    return SolverSettings(grad_tol=float(cfg.get("grad_tol", default.grad_tol)),
+    return SolverSettings(grad_tol=cfg.get("grad_tol", default.grad_tol),
                           max_iter=cfg.get("max_iter", default.max_iter))
 
 
@@ -106,6 +104,7 @@ def cmd_minimize(args) -> int:
         "grad_norm": res.grad_norm,
         "converged": res.converged,
         "stop_reason": res.stop_reason,
+        "restarts": res.restarts,
         "operator_evals": res.operator_evals,
     })
     return EXIT_OK if res.converged else EXIT_MAXITER
@@ -171,12 +170,15 @@ def cmd_sweep(args) -> int:
     b_values = cfg.get("b_list") or cfg.get("b")
     if isinstance(b_values, str):
         b_values = [float(x) for x in b_values.split(",")]
-    elif isinstance(b_values, float):
+    elif not isinstance(b_values, list):
         b_values = [b_values]
+    N, samples_per_core = cfg.get("N", 1), cfg.get("samples_per_core", 8)
+    settings = _solver_settings(cfg)
+    for b in b_values:  # every value is checked before the output directory exists
+        trial_config(b, N, samples_per_core=samples_per_core)
     outdir = Path(cfg.get("out", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    report = run_sweep(b_values, int(cfg.get("N", 1)), settings=_solver_settings(cfg),
-                       samples_per_core=int(cfg.get("samples_per_core", 8)),
+    report = run_sweep(b_values, N, settings=settings, samples_per_core=samples_per_core,
                        jobs=cfg.get("jobs", 1))
     (outdir / "sweep.csv").write_text(sweep_to_csv(report))
     (outdir / "sweep.json").write_text(sweep_to_json(report) + "\n")

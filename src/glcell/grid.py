@@ -14,12 +14,15 @@ agree exactly.
 The wrap rule is written once, in WrapRule.ghost_factors, which takes index
 arrays.  wrap_value reads the magnetic-periodic extension through it, and
 connection folds its seam values into the link factors of the one torus
-connection that the solver and the analysis share.
+connection that the solver and the analysis share: four length-n vectors,
+because in this gauge the +x links vary along axis 1 only and the +y links
+along axis 0 only, except on the seams.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +32,22 @@ TWO_PI = 2.0 * math.pi
 
 class ConfigError(ValueError):
     pass
+
+
+def check_number(name: str, value, integral: bool = False) -> None:
+    """Raise ConfigError unless value is a real number, or an integer when
+    integral, and no bool: a 4.7 or a "4" from a config file is an error, not
+    a truncated or parsed value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral
+                                                 else numbers.Real):
+        kind = "an integer" if integral else "a real number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_b(b) -> None:
+    check_number("b", b)
+    if not (0.0 < b < 1.0):
+        raise ConfigError(f"b out of range: b={b} not in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -41,9 +60,10 @@ class CellConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.b < 1.0):
-            raise ConfigError(f"b out of range: b={self.b} not in (0, 1)")
-        if self.N < 1 or int(self.N) != self.N:
+        check_b(self.b)
+        for name in ("N", "n", "seed"):
+            check_number(name, getattr(self, name), integral=True)
+        if self.N < 1:
             raise ConfigError(f"N must be a positive integer, got {self.N}")
         if self.n < 16:
             raise ConfigError(f"n must be >= 16, got {self.n}")
@@ -138,22 +158,19 @@ def wrap_value(u: np.ndarray, wrap: WrapRule, i, j) -> np.ndarray:
     return wrap.ghost_factors(i, j) * u[np.mod(i, wrap.n), np.mod(j, wrap.n)]
 
 
-def connection(grid: Grid, wrap: WrapRule) -> tuple[np.ndarray, np.ndarray]:
-    """(cx, cy) = (exp(-i theta_x), exp(-i theta_y)) with the seam wrap folded in.
+def connection(grid: Grid, wrap: WrapRule) -> tuple[np.ndarray, ...]:
+    """(x, x_seam, y, y_seam): the link factors exp(-i theta), seam wrap folded in.
 
-    The ghost factors of the sites one step past the +x seam (per j) and the
-    +y seam (per i) are multiplied into the unit link factors once, so the
-    covariant difference on every link, seam included, is c * u(tip) - u, and
-    the cell is a plain periodic U(1) lattice gauge field whose plaquette
-    holonomies are all h^2 mod 2*pi.
+    theta_x varies along axis 1 only and theta_y along axis 0 only, so the
+    connection is four length-n vectors: x[j] on the +x links (i, j), i < n-1,
+    and x_seam[j] on the seam link (n-1, j), which carries the ghost factor of
+    the site one step past the +x seam; y[i] and y_seam[i] likewise on the +y
+    links (i, j), j < n-1, and (i, n-1).  The covariant difference on every
+    link, seam included, is c * u(tip) - u, and the cell is a plain periodic
+    U(1) lattice gauge field whose plaquette holonomies are all h^2 mod 2*pi.
     """
     n = grid.n
     idx = np.arange(n)
     theta_x, theta_y = link_phases(grid)
-    # theta_x varies along axis 1 only and theta_y along axis 0 only, so
-    # exponentiate the n distinct phases of each and broadcast the factors
-    cx = np.broadcast_to(np.exp(-1j * theta_x[0]), (n, n)).copy()
-    cx[-1, :] *= wrap.ghost_factors(n, idx)
-    cy = np.broadcast_to(np.exp(-1j * theta_y[:, :1]), (n, n)).copy()
-    cy[:, -1] *= wrap.ghost_factors(idx, n)
-    return cx, cy
+    x, y = np.exp(-1j * theta_x[0]), np.exp(-1j * theta_y[:, 0])
+    return x, x * wrap.ghost_factors(n, idx), y, y * wrap.ghost_factors(idx, n)

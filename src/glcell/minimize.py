@@ -72,6 +72,7 @@ class MinimizationResult:
     init_label: str
     wall_time: float
     stop_reason: str      # "converged", "max_iter" or "line_search_failed"
+    restarts: int         # iterations after the first that stepped on -P grad
     operator_evals: int   # applications of D and its adjoint, final evaluation included
 
     @property
@@ -95,6 +96,7 @@ class GCurvePoint:
     zeta: float | None = None
     iterations: int | None = None     # of the minimize run
     stop_reason: str | None = None    # of the same run
+    restarts: int | None = None       # of the same run
     flags: list = field(default_factory=list)
     start: str = "trial"              # the init: "trial", or "anchor" for a warm start
     wall_s: float | None = None       # wall time of the whole point
@@ -175,33 +177,37 @@ def _converged(gn: float, val: float, grid, s: SolverSettings) -> bool:
 
 
 def _ncg(u: np.ndarray, op: CellOperator, b: float, s: SolverSettings,
-         phase: np.ndarray | None = None) -> tuple[int, str]:
-    """The NCG loop from u on op's connection, in place: (iterations, stop reason)."""
+         phase: np.ndarray | None = None) -> tuple[int, int, str]:
+    """The NCG loop from u on op's connection, in place: (iterations,
+    restarts, stop reason).  A restart is an iteration after the first whose
+    step is taken on -P grad.
+
+    Six complex arrays, u included, are the working set, and no iteration
+    allocates another: pg is dead while the next gradient is formed and
+    grad_old once beta has used it, and scratch holds c0 = 1 - |u|^2 and a
+    real temporary.
+    """
     g = op.grid
-    dxy = (np.empty_like(u), np.empty_like(u))  # D u, then D d
-    c0 = np.empty(u.shape)
-    grad, grad_old = np.empty_like(u), np.empty_like(u)
-    pg = np.empty_like(u)
-    d = np.empty_like(u)
+    grad, grad_old, pg, d, scratch = (np.empty(u.shape, np.complex128) for _ in range(5))
+    planes = scratch.view(np.float64).reshape((2,) + u.shape)  # two real planes
     symbol = _kinetic_preconditioner(g.n, b, g.h)
 
     def evaluate(it):
-        val = energy_and_gradient(op, u, b, dxy, c0, grad)
+        val = energy_and_gradient(op, u, b, grad, planes, pg)
         gn = math.sqrt(redot(grad, grad))
         if not (math.isfinite(val) and math.isfinite(gn)):
             raise _diverged("non-finite energy or gradient", {"iteration": it, "value": val})
         return val, gn
 
     def line_search(slope):
-        coeffs = (slope, *line_quartic(u, d, op.D(d, out=dxy), c0, b, g.h))
+        coeffs = (slope, *line_quartic(op, u, d, planes, b, grad_old))
         if not all(math.isfinite(q) for q in coeffs):
             raise _diverged("non-finite line search coefficients",
                             {"iteration": it, "value": value})
         return _exact_step(*coeffs)
 
     value, gnorm = evaluate(0)
-    it = 0
-    restart = True
+    it = restarts = 0
     gpg_old = 1.0
     while True:
         if _converged(gnorm, value, g, s):
@@ -214,7 +220,7 @@ def _ncg(u: np.ndarray, op: CellOperator, b: float, s: SolverSettings,
         pg = _precondition(grad, symbol, pg, phase)
         gpg = redot(grad, pg)
         beta = 0.0
-        if not (restart or it % RESTART_EVERY == 0):
+        if it > 1 and it % RESTART_EVERY != 0:
             beta = max(0.0, (gpg - redot(grad_old, pg)) / gpg_old)
         if beta > 0.0:
             d *= beta
@@ -228,17 +234,19 @@ def _ncg(u: np.ndarray, op: CellOperator, b: float, s: SolverSettings,
         # a drop below the rounding of the energy cannot be told from none
         resolution = np.finfo(float).eps * max(abs(value), 1.0)
         if not drop < -resolution and beta > 0.0:
+            beta = 0.0
             np.negative(pg, out=d)
             t, drop = line_search(-gpg)
         if not drop < -resolution:
             reason = "line_search_failed"
             break
-        u += np.multiply(d, t, out=dxy[0])
+        if beta == 0.0 and it > 1:
+            restarts += 1
+        u += np.multiply(d, t, out=grad_old)
         grad, grad_old = grad_old, grad
         gpg_old = gpg
         value, gnorm = evaluate(it)
-        restart = False
-    return it, reason
+    return it, restarts, reason
 
 
 def _solve(init: DiscreteField, b: float, settings: SolverSettings | None, init_label: str,
@@ -255,7 +263,7 @@ def _solve(init: DiscreteField, b: float, settings: SolverSettings | None, init_
     fld.u = fld.u.astype(np.complex128, copy=False)
     op = fld.operator()
     evals0 = op.evaluations
-    it, reason = _ncg(fld.u, op, b, s, phase)
+    it, restarts, reason = _ncg(fld.u, op, b, s, phase)
     bd = energy(fld, b)
     grad = gradient(fld, b)
     gnorm = math.sqrt(redot(grad, grad))
@@ -268,6 +276,7 @@ def _solve(init: DiscreteField, b: float, settings: SolverSettings | None, init_
         init_label=init_label,
         wall_time=time.perf_counter() - t0,
         stop_reason=reason,
+        restarts=restarts,
         operator_evals=op.evaluations - evals0,
     )
 
@@ -330,7 +339,7 @@ def estimate_g(config: CellConfig, settings: SolverSettings | None = None,
     return GCurvePoint(
         b=b, N=config.N, R=grid.R, n=grid.n, g_est=g_est, g_trial=g_trial,
         potential_moment=mpot, zeta=zeta, iterations=res.iterations,
-        stop_reason=res.stop_reason, flags=flags, start=res.init_label,
+        stop_reason=res.stop_reason, restarts=res.restarts, flags=flags, start=res.init_label,
         wall_s=time.perf_counter() - t0,
         solution=DiscreteField(u=fld.u, grid=fld.grid, wrap=fld.wrap),  # without its operator
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import DiscreteField
-from .grid import CellConfig, Grid, WrapRule, link_phases
+from .grid import CellConfig, Grid, WrapRule, check_b, check_number, link_phases
 
 TWO_PI = 2.0 * math.pi
 CELL_SIDE = math.sqrt(TWO_PI)  # side of the unit cell Q1, |Q1| = 2*pi
@@ -200,6 +200,9 @@ def predicted_density(b: float) -> float:
 
 def trial_config(b: float, N: int, samples_per_core: int = 8, **kw) -> CellConfig:
     """CellConfig resolving the core with an even per-cell sample count."""
+    check_b(b)
+    check_number("N", N, integral=True)
+    check_number("samples_per_core", samples_per_core, integral=True)
     k = int(round(math.sqrt(N)))
     if k * k != N:
         raise TrialError(f"trial requires square N, got N={N}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glcell.energy import CellOperator, DiscreteField
+from glcell.energy import CellOperator, DiscreteField, redot
 from glcell.grid import wrap_value
 from glcell.minimize import SolverSettings, init_state, minimize
 from glcell.trial import trial_config
@@ -53,6 +53,47 @@ def magnetic_translate():
     return _magnetic_translate
 
 
+class ReferenceOperator(CellOperator):
+    """CellOperator on full (n, n) link arrays cx and cy, rebuilt from the
+    per-axis vectors of grid.connection, with every kernel written out with
+    np.roll: a reference for the broadcast kernels, and the base of gauged
+    links, which are no product of per-axis vectors."""
+
+    def __init__(self, grid, wrap):
+        super().__init__(grid, wrap)
+        n = grid.n
+        (x, x_seam), (y, y_seam) = self.links
+        self.cx = np.broadcast_to(x, (n, n)).copy()
+        self.cx[-1] = x_seam
+        self.cy = np.broadcast_to(y[:, None], (n, n)).copy()
+        self.cy[:, -1] = y_seam
+
+    def D(self, u):
+        self.evaluations += 1
+        return self.cx * np.roll(u, -1, axis=0) - u, self.cy * np.roll(u, -1, axis=1) - u
+
+    def Dt(self, vx, vy):
+        self.evaluations += 1
+        return (np.roll(np.conj(self.cx) * vx, 1, axis=0) - vx
+                + np.roll(np.conj(self.cy) * vy, 1, axis=1) - vy)
+
+    def neighbours(self, u, out, work):
+        out[...] = (self.cx * np.roll(u, -1, axis=0) + np.roll(np.conj(self.cx) * u, 1, axis=0)
+                    + self.cy * np.roll(u, -1, axis=1) + np.roll(np.conj(self.cy) * u, 1, axis=1))
+        self.evaluations += 2
+        return out
+
+    def D_norm2(self, d, work):
+        dx, dy = self.D(d)
+        return redot(dx, dx) + redot(dy, dy)
+
+
+@pytest.fixture(scope="session")
+def reference_operator():
+    """reference_operator(grid, wrap): the ReferenceOperator of the cell."""
+    return ReferenceOperator
+
+
 def _gauged_operator(grid, wrap, phi):
     """The cell operator conjugated by unit-modulus phi: D' = conj(phi) D phi.
 
@@ -61,7 +102,7 @@ def _gauged_operator(grid, wrap, phi):
     of u = phi w on D.  A reference for the conjugated preconditioner, which
     the solver uses in place of these links.
     """
-    op = CellOperator(grid, wrap)
+    op = ReferenceOperator(grid, wrap)
     phi_bar = np.conjugate(phi)
     op.cx = np.roll(phi, -1, axis=0) * op.cx * phi_bar
     op.cy = np.roll(phi, -1, axis=1) * op.cy * phi_bar

@@ -30,6 +30,7 @@ def test_minimize_writes_outputs(tmp_path, capsys):
     assert result["converged"]
     assert result["stop_reason"] == "converged"
     assert result["operator_evals"] >= 2 * result["iterations"]
+    assert isinstance(result["restarts"], int) and 0 <= result["restarts"] < result["iterations"]
     assert result["energy"]["total"] < 0.0
     assert set(result["energy"]) == {"kinetic", "potential", "offset", "total"}
 
@@ -156,6 +157,7 @@ def test_sweep_csv(tmp_path, capsys, monkeypatch):
     for point in points:
         assert point["stop_reason"] == "converged" and point["iterations"] > 0
         assert point["wall_s"] > 0.0
+        assert isinstance(point["restarts"], int) and 0 <= point["restarts"] < point["iterations"]
 
 
 def test_sweep_threads_cap_runs_serially(tmp_path, capsys, monkeypatch):
@@ -235,6 +237,33 @@ def test_inputs_that_would_change_nothing_are_rejected(tmp_path, capsys):
                            capsys)
         assert code == EXIT_ERROR
         assert "n and samples_per_core both set the resolution" in err
+    assert not (tmp_path / "o").exists()
+
+
+# config-file values that int() used to truncate or parse, or that crashed
+_N_CASES = [({"b": 0.25, "N": 4.7}, "N must be an integer, got 4.7"),
+            ({"b": 0.25, "N": "4"}, "N must be an integer, got '4'"),
+            ({"b": 0.25, "N": True}, "N must be an integer, got True"),
+            ({"b": 0.25, "N": 4, "samples_per_core": 8.9},
+             "samples_per_core must be an integer, got 8.9")]
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    *(("minimize", cfg, message) for cfg, message in _N_CASES),
+    *(("sweep", cfg, message) for cfg, message in _N_CASES),
+    ("minimize", {"b": "0.25", "N": 4}, "b must be a real number, got '0.25'"),
+    ("minimize", {"b": 0.25, "N": 1, "n": 84.5}, "n must be an integer, got 84.5"),
+    ("minimize", {"b": 0.25, "N": 1, "init": "random", "seed": 2.5},
+     "seed must be an integer, got 2.5"),
+    ("sweep", {"b": ["0.25", "0.3"], "N": 1}, "b must be a real number, got '0.25'"),
+    ("sweep", {"b": [0.0, 0.3], "N": 1}, "b out of range: b=0.0 not in (0, 1)"),
+])
+def test_config_values_are_checked_not_converted(command, cfg, message, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run([command, "--config", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert code == EXIT_ERROR
+    assert f"error: {message}" in err
     assert not (tmp_path / "o").exists()
 
 

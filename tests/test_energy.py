@@ -185,8 +185,7 @@ def test_gauge_covariance(gauged_operator, N, twisted, seed):
 
     def evaluate(o, v):
         grad = np.empty_like(v)
-        val = energy_and_gradient(o, v, b, (np.empty_like(v), np.empty_like(v)),
-                                  np.empty(v.shape), grad)
+        val = energy_and_gradient(o, v, b, grad, np.empty((2,) + v.shape), np.empty_like(v))
         return val, grad
 
     val, grad = evaluate(op, f.u)
@@ -194,7 +193,59 @@ def test_gauge_covariance(gauged_operator, N, twisted, seed):
     assert abs(gval - val) <= 1e-13 * max(abs(val), 1.0)
     assert np.max(np.abs(ggrad - np.conjugate(phi) * grad)) <= 1e-13 * np.max(np.abs(grad))
     # the gauged operator is built, not cached: the field keeps the cell's own
-    assert f.operator() is not gauged and np.array_equal(f.operator().cx, op.cx)
+    assert f.operator() is not gauged and np.array_equal(f.operator().links, op.links)
+
+
+@pytest.mark.parametrize("N", [1, 4])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_stencil_kernels_match_reference(reference_operator, N, twisted):
+    # the broadcast kernels against full (n, n) link arrays: the stencil
+    # gradient is 2b Dt D u - 2h^2 c0 u, the in-loop energy is energy(), and
+    # |D d|^2 one axis at a time is |D d|^2 from D
+    b, n = 0.9, 48
+    rng = np.random.default_rng(N)
+    f = make_field(b=b, N=N, n=n, seed=N, twist=TWIST if twisted else (0.0, 0.0))
+    f.u = np.exp(1j * np.angle(f.u)) * (1.0 - 0.3 * rng.random((n, n)))  # |u| near 1
+    op, ref = f.operator(), reference_operator(f.grid, f.wrap)
+    grad, planes, work = np.empty_like(f.u), np.empty((2, n, n)), np.empty_like(f.u)
+    evals = op.evaluations
+    val = energy_and_gradient(op, f.u, b, grad, planes, work)
+    assert op.evaluations - evals == 2  # one D and one adjoint
+    c0 = 1.0 - abs2(f.u)
+    want = 2.0 * b * ref.Dt(*ref.D(f.u)) - 2.0 * f.grid.h**2 * c0 * f.u
+    assert np.max(np.abs(grad - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(planes[0], c0)
+    e = energy(f, b).total
+    assert abs(val - e) <= 1e-12 * abs(e)
+    d = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    dx, dy = op.D(d)
+    assert op.D_norm2(d, work) == redot(dx, dx) + redot(dy, dy)
+    rx, ry = ref.D(d)
+    want = redot(rx, rx) + redot(ry, ry)
+    assert abs(op.D_norm2(d, work) - want) <= 1e-13 * want
+
+
+def test_gradient_of_real_samples():
+    # a field may hold real samples; its gradient is that of the complex field
+    f = make_field(b=0.9, N=4, n=48)
+    real = DiscreteField(u=f.u.real.copy(), grid=f.grid, wrap=f.wrap)
+    complex_ = DiscreteField(u=real.u.astype(complex), grid=f.grid, wrap=f.wrap)
+    assert np.array_equal(gradient(real, 0.9), gradient(complex_, 0.9))
+
+
+def test_operator_holds_only_link_vectors():
+    # the connection is kept as per-axis vectors: no array of the operator
+    # has more than n elements, whatever it has been applied to
+    f = make_field(b=0.9, N=4, n=48, twist=TWIST)
+    op = f.operator()
+    gradient(f, 0.9)
+    op.D_norm2(f.u, np.empty_like(f.u))
+
+    def leaves(v):
+        return [a for item in v for a in leaves(item)] if isinstance(v, tuple) else [v]
+
+    arrays = [a for v in vars(op).values() for a in leaves(v) if isinstance(a, np.ndarray)]
+    assert len(arrays) == 8 and max(a.size for a in arrays) <= f.grid.n
 
 
 def test_field_must_match_its_grid():
@@ -252,8 +303,9 @@ def test_line_quartic_is_exact():
     f = make_field(b=b, N=2, n=56, seed=6, twist=TWIST)
     d = 0.4 * (rng.standard_normal(f.u.shape) + 1j * rng.standard_normal(f.u.shape))
     slope = redot(gradient(f, b), d)
-    dd = f.operator().D(d)
-    q2, q3, q4 = line_quartic(f.u, d, dd, 1.0 - abs2(f.u), b, f.grid.h)
+    planes = np.empty((2,) + f.u.shape)
+    planes[0] = 1.0 - abs2(f.u)
+    q2, q3, q4 = line_quartic(f.operator(), f.u, d, planes, b, np.empty_like(f.u))
     e0 = energy(f, b).total
     for t in (-0.7, -0.05, 0.1, 0.5, 1.3):
         moved = DiscreteField(u=f.u + t * d, grid=f.grid, wrap=f.wrap)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import glcell.minimize as minimize_module
 from glcell.energy import DiscreteField, energy, gradient
 from glcell.grid import CellConfig, ConfigError, build_grid
 from glcell.minimize import (
@@ -59,6 +60,21 @@ def test_best_seen_monotone():
             assert res.iterations <= k
             assert res.breakdown.total <= prev + 1e-12 * abs(prev), (kind, k)
             prev = res.breakdown.total
+
+
+def test_restarts_counted(monkeypatch):
+    # a restart is an iteration after the first that steps on -P grad: with a
+    # forced restart every iteration that is all of them but the first, and
+    # with one every 10th there are at least iterations // 10
+    init = init_state("random", CellConfig(b=B, N=N, n=48, seed=3))
+    monkeypatch.setattr(minimize_module, "RESTART_EVERY", 1)
+    res = minimize(init, B, SolverSettings(max_iter=30))
+    assert res.iterations == 30 and res.restarts == 29
+    monkeypatch.setattr(minimize_module, "RESTART_EVERY", 10)
+    res = minimize(init, B, SolverSettings(max_iter=30))
+    assert res.iterations == 30 and 3 <= res.restarts < 29
+    point = estimate_g(CellConfig(b=B, N=N, n=48), SolverSettings(max_iter=30))
+    assert point.restarts >= 3
 
 
 def test_estimate_g_protocol():
@@ -206,8 +222,8 @@ def test_conjugated_preconditioner_matches_gauged_links(b0, b, N, n, gauged_oper
     phi = _unit_phase(start.u)
     s = SolverSettings()
     u, w = start.u.copy(), np.conjugate(phi) * start.u  # updated in place
-    it, reason = _ncg(u, start.operator(), b, s, phi)
-    it_w, reason_w = _ncg(w, gauged_operator(start.grid, start.wrap, phi), b, s)
+    it, _, reason = _ncg(u, start.operator(), b, s, phi)
+    it_w, _, reason_w = _ncg(w, gauged_operator(start.grid, start.wrap, phi), b, s)
     assert reason == reason_w == "converged"
     assert it == it_w > 10
     assert np.max(np.abs(phi * w - u)) <= 1e-12

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from glcell.energy import CellOperator, energy
+from glcell.energy import energy
 from glcell.grid import CellConfig, WrapRule, build_grid
 from glcell.trial import (
     TWO_PI,
@@ -136,7 +136,7 @@ def test_predicted_density_value():
     assert abs(predicted_density(0.01) - (-0.47697)) < 5e-6
 
 
-def test_twisted_and_gauged_energies_agree():
+def test_twisted_and_gauged_energies_agree(reference_operator):
     # The gauge map removing (alpha, beta) preserves the energy: the
     # ungauged state v = e^{-i chi} u, chi = -(alpha x1 + beta x2)/R, lives in
     # the (alpha, beta)-twisted space, and on the twisted connection shifted
@@ -148,7 +148,7 @@ def test_twisted_and_gauged_energies_agree():
         phase = build_phase(g, N)
         chi = -(phase.alpha * g.x1[:, None] + phase.beta * g.x2[None, :]) / g.R
         v = np.exp(-1j * chi) * u
-        op = CellOperator(g, WrapRule(n=g.n, N=N, alpha=phase.alpha, beta=phase.beta))
+        op = reference_operator(g, WrapRule(n=g.n, N=N, alpha=phase.alpha, beta=phase.beta))
         potential = 0.5 * g.h**2 * np.sum((1.0 - np.abs(v) ** 2) ** 2)
 
         def twisted_energy(shift_x, shift_y):

@@ -341,7 +341,7 @@ def test_vorticity_mass_identity():
     assert abs(v.total_mass - TWO_PI * N) <= 1e-8 * TWO_PI * N
 
 
-def test_vorticity_flux_is_connection_holonomy():
+def test_vorticity_flux_is_connection_holonomy(reference_operator):
     # the curl A0 part of mu is the plaquette holonomy of the field's own
     # connection, at a twisted wrap too, and the mass stays 2 pi N
     rng = np.random.default_rng(9)
@@ -349,7 +349,7 @@ def test_vorticity_flux_is_connection_holonomy():
     g = build_grid(CellConfig(b=0.5, N=N, n=n))
     u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     f = DiscreteField(u=u, grid=g, wrap=WrapRule(n=n, N=N, alpha=0.4, beta=-0.9))
-    op = f.operator()
+    op = reference_operator(f.grid, f.wrap)
     holonomy = op.cx * np.roll(op.cy, -1, axis=0) * np.conj(np.roll(op.cx, -1, axis=1) * op.cy)
     jx, jy = supercurrent(f)
     circ = g.h * (jx + np.roll(jy, -1, axis=0) - np.roll(jx, -1, axis=1) - jy)

@@ -16,14 +16,12 @@ import csv
 import io
 import json
 import math
-import numbers
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import DiscreteField, density_moments
-from .grid import CellConfig, ConfigError
+from .grid import CellConfig
 from .minimize import GCurvePoint, MinimizationResult, SolverSettings, estimate_g
 from .trial import trial_config
 from .vortices import (
@@ -144,7 +142,6 @@ def run_sweep(
     N: int,
     settings: SolverSettings | None = None,
     samples_per_core: int = 8,
-    jobs: int = 1,
 ) -> SweepReport:
     """Estimate g at each b and assemble the report.
 
@@ -155,50 +152,20 @@ def run_sweep(
     anchor's solution when that lies below its own trial state, with the
     preconditioner conjugated by the anchor's phase (estimate_g), which is
     continuation with a fixed topology: no point depends on another warm
-    point.  With jobs > 1 those points run in that many worker processes,
-    capped by the GLCELL_THREADS environment variable; both must be positive
-    integers, and the results do not depend on jobs.  The report's points
-    keep no `solution`.
+    point.  The report's points keep no `solution`.
     """
     if not b_values:
         raise AnalysisError("sweep needs at least one b value")
-    if not isinstance(jobs, numbers.Integral) or jobs < 1:
-        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
-    cap = os.environ.get("GLCELL_THREADS")
-    if cap:
-        if not (cap.isdigit() and int(cap) >= 1):
-            raise ConfigError(f"GLCELL_THREADS must be a positive integer, got {cap!r}")
-        jobs = min(jobs, int(cap))
-    bs = sorted(b_values)
-    n = trial_config(bs[0], N, samples_per_core=samples_per_core).n
-    configs = [CellConfig(b=b, N=N, n=n) for b in bs]
-    mid = (len(bs) - 1) // 2
+    n = trial_config(min(b_values), N, samples_per_core=samples_per_core).n
+    configs = [CellConfig(b=b, N=N, n=n) for b in sorted(b_values)]
+    mid = (len(configs) - 1) // 2
     anchor = estimate_g(configs[mid], settings)
-    start, anchor.solution = anchor.solution, None
-    rest = configs[:mid] + configs[mid + 1:]
-    if jobs > 1 and len(rest) > 1:
-        # imported here: these modules add ~35 ms to every start-up that
-        # never runs a pool (serial sweeps and all other commands)
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            points = list(pool.map(_warm_point, rest, [settings] * len(rest),
-                                   [start] * len(rest)))
-    else:
-        points = [_warm_point(config, settings, start) for config in rest]
-    points.insert(mid, anchor)
+    start, points = anchor.solution, []
+    for i, config in enumerate(configs):
+        point = anchor if i == mid else estimate_g(config, settings, start)
+        point.solution = None  # a report keeps no fields: each goes before the next solve
+        points.append(point)
     return build_sweep(points)
-
-
-def _warm_point(config: CellConfig, settings: SolverSettings | None,
-                start: DiscreteField) -> GCurvePoint:
-    """estimate_g from start, without the solution: a report keeps no fields,
-    and a worker sends none back."""
-    point = estimate_g(config, settings, start)
-    point.solution = None
-    return point
 
 
 _CSV_COLUMNS = [
@@ -240,7 +207,7 @@ def sweep_to_csv(report: SweepReport) -> str:
 def sweep_to_json(report: SweepReport) -> str:
     """The CSV rows plus, per point, its init, restart count and wall time,
     which sweep.csv leaves out (its columns stay fixed, and it does not depend
-    on timing or on jobs)."""
+    on timing)."""
     payload = {
         "points": [dict(row, start=p.start, restarts=p.restarts, wall_s=p.wall_s)
                    for row, p in zip(sweep_rows(report), report.points)],

@@ -4,7 +4,6 @@ Exit codes: 0 success (and convergence for minimize), 2 iteration budget
 exhausted, 1 any error.  JSON outputs write each float in its repr form,
 the shortest decimal that reads back as the same float64, so values
 round-trip exactly; a non-finite value is an error, not a JSON extension.
-The GLCELL_THREADS environment variable caps parallel sweep workers.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from pathlib import Path
 
 from .analysis import run_sweep, sweep_to_csv, sweep_to_json
 from .energy import DiscreteField, energy
-from .grid import CellConfig, ConfigError, build_grid
+from .grid import CellConfig, ConfigError, build_grid, check_number
 from .minimize import MinimizationError, SolverSettings, init_state, minimize
 from .snapshot import SnapshotError, read_snapshot, write_snapshot
 from .trial import TrialError, build_trial, predicted_density, trial_config
@@ -39,8 +38,7 @@ _CONFIG_KEYS = {
                  "samples_per_core"},
     "trial": {"b", "N", "n", "out", "samples_per_core"},
     "vortices": {"out", "C_star"},
-    "sweep": {"b", "b_list", "N", "max_iter", "grad_tol", "out", "jobs",
-              "samples_per_core"},
+    "sweep": {"b", "b_list", "N", "max_iter", "grad_tol", "out", "samples_per_core"},
 }
 
 
@@ -134,6 +132,10 @@ def cmd_trial(args) -> int:
 
 def cmd_vortices(args) -> int:
     cfg = _load_config(args)
+    c_star = cfg.get("C_star", 4.0 * math.pi)
+    check_number("C_star", c_star)
+    if not (math.isfinite(c_star) and c_star > 0.0):
+        raise ConfigError(f"C_star must be finite and positive, got {c_star!r}")
     field, b = read_snapshot(args.snapshot)
     outdir = Path(cfg.get("out", "."))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -142,7 +144,6 @@ def cmd_vortices(args) -> int:
         {"center": list(ball.center), "radius": ball.radius, "degree": ball.degree}
         for ball in balls
     ])
-    c_star = float(cfg.get("C_star", 4.0 * math.pi))
     reports = classify_squares(field, b, C_star=c_star, balls=balls)
     with open(outdir / "squares.jsonl", "w") as fh:
         for rep in reports:
@@ -178,8 +179,7 @@ def cmd_sweep(args) -> int:
         trial_config(b, N, samples_per_core=samples_per_core)
     outdir = Path(cfg.get("out", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    report = run_sweep(b_values, N, settings=settings, samples_per_core=samples_per_core,
-                       jobs=cfg.get("jobs", 1))
+    report = run_sweep(b_values, N, settings=settings, samples_per_core=samples_per_core)
     (outdir / "sweep.csv").write_text(sweep_to_csv(report))
     (outdir / "sweep.json").write_text(sweep_to_json(report) + "\n")
     if getattr(args, "report", None) == "acceptance":
@@ -251,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="g(b) sweep over several b values")
     common(p_sw, "--b-list", dest="b_list", help="comma-separated b values")
     solver(p_sw)
-    p_sw.add_argument("--jobs", type=int)
     p_sw.add_argument("--report", choices=["acceptance"])
     p_sw.set_defaults(func=cmd_sweep, requires_b=True)
     return parser

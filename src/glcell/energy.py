@@ -30,14 +30,14 @@ class EnergyError(ValueError):
 
 
 class CellOperator:
-    """Covariant difference D on one field's torus connection, and its adjoint.
+    """Covariant difference D on one field's torus connection, and D*D as a stencil.
 
     (D u)_x = c_x * u(x + h e1) - u(x) and (D u)_y = c_y * u(x + h e2) - u(x),
     where the link factors of grid.connection, a bulk and a seam vector per
-    axis, carry the seam wrap factors.  Dt is the adjoint,
-    Re<D u, v> = Re<u, Dt v>.  `evaluations` counts applications of D and
-    Dt; the stencil `neighbours` (Dt D u = 4 u - neighbours) counts as one of
-    each, and `D_norm2` as one D.
+    axis, carry the seam wrap factors.  Its adjoint D* is applied only inside
+    D*D u = 4 u - neighbours(u).  `evaluations` counts applications of D and
+    D*: `D` and `D_norm2` count as one D, and the stencil `neighbours` as one
+    D and one D*.
     """
 
     def __init__(self, grid: Grid, wrap: WrapRule):
@@ -60,24 +60,12 @@ class CellOperator:
             np.multiply(u[:-1], c, out=out[1:])
             np.multiply(u[-1], seam, out=out[0])
 
-    def D(self, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
-        """(dx, dy) = D u, written into `out` when given."""
-        if out is None:
-            out = (np.empty(u.shape, np.complex128), np.empty(u.shape, np.complex128))
+    def D(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(dx, dy) = D u."""
+        out = (np.empty(u.shape, np.complex128), np.empty(u.shape, np.complex128))
         for axis, v in enumerate(out):
             self._hop(u, axis, v)
             v -= u
-        self.evaluations += 1
-        return out
-
-    def Dt(self, vx: np.ndarray, vy: np.ndarray, out=None) -> np.ndarray:
-        """Dt (vx, vy), written into `out` when given.  Overwrites vx."""
-        out = np.empty(vx.shape, np.complex128) if out is None else out
-        self._hop(vx, 0, out, ahead=False)
-        out -= vx
-        self._hop(vy, 1, vx, ahead=False)
-        out += vx
-        out -= vy
         self.evaluations += 1
         return out
 
@@ -188,7 +176,7 @@ def energy_and_gradient(op: CellOperator, u: np.ndarray, b: float, grad: np.ndar
                         planes: np.ndarray, work: np.ndarray) -> float:
     """Total energy at u; writes the gradient into grad and c0 = 1 - |u|^2 into planes[0].
 
-    grad = 2b Dt D u - 2h^2 c0 u = (8b - 2h^2 c0) u - 2b (CellOperator.neighbours)
+    grad = 2b D*D u - 2h^2 c0 u = (8b - 2h^2 c0) u - 2b (CellOperator.neighbours)
     and b |D u|^2 = (1/2) Re<u, grad> + h^2 sum c0 (1 - c0), so neither D u
     nor its adjoint is formed.  planes[1], of the real (2, n, n) planes, and
     work are overwritten.  Sums run in one pass each, without the

@@ -32,7 +32,6 @@ from .energy import (
     density_moments,
     energy,
     energy_and_gradient,
-    gradient,
     line_quartic,
     redot,
 )
@@ -73,7 +72,7 @@ class MinimizationResult:
     wall_time: float
     stop_reason: str      # "converged", "max_iter" or "line_search_failed"
     restarts: int         # iterations after the first that stepped on -P grad
-    operator_evals: int   # applications of D and its adjoint, final evaluation included
+    operator_evals: int   # applications of D and its adjoint: the NCG loop's and the energy's
 
     @property
     def density(self) -> float:
@@ -177,10 +176,10 @@ def _converged(gn: float, val: float, grid, s: SolverSettings) -> bool:
 
 
 def _ncg(u: np.ndarray, op: CellOperator, b: float, s: SolverSettings,
-         phase: np.ndarray | None = None) -> tuple[int, int, str]:
+         phase: np.ndarray | None = None) -> tuple[int, int, str, float]:
     """The NCG loop from u on op's connection, in place: (iterations,
-    restarts, stop reason).  A restart is an iteration after the first whose
-    step is taken on -P grad.
+    restarts, stop reason, |grad| at the final u).  A restart is an iteration
+    after the first whose step is taken on -P grad.
 
     Six complex arrays, u included, are the working set, and no iteration
     allocates another: pg is dead while the next gradient is formed and
@@ -246,12 +245,12 @@ def _ncg(u: np.ndarray, op: CellOperator, b: float, s: SolverSettings,
         grad, grad_old = grad_old, grad
         gpg_old = gpg
         value, gnorm = evaluate(it)
-    return it, restarts, reason
+    return it, restarts, reason, gnorm
 
 
 def _solve(init: DiscreteField, b: float, settings: SolverSettings | None, init_label: str,
            phase: np.ndarray | None = None) -> MinimizationResult:
-    """NCG from a copy of init on its own operator, then one final evaluation.
+    """NCG from a copy of init on its own operator, then the answer's compensated energy.
 
     A phase conjugates the preconditioner, which makes a warm start only:
     from the trial state, with its own phase, the solve stops on the
@@ -263,10 +262,8 @@ def _solve(init: DiscreteField, b: float, settings: SolverSettings | None, init_
     fld.u = fld.u.astype(np.complex128, copy=False)
     op = fld.operator()
     evals0 = op.evaluations
-    it, restarts, reason = _ncg(fld.u, op, b, s, phase)
+    it, restarts, reason, gnorm = _ncg(fld.u, op, b, s, phase)
     bd = energy(fld, b)
-    grad = gradient(fld, b)
-    gnorm = math.sqrt(redot(grad, grad))
     return MinimizationResult(
         field=fld,
         breakdown=bd,

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import DiscreteField
-from .grid import CellConfig, WrapRule, build_grid
+from .grid import CellConfig, ConfigError, WrapRule, build_grid, check_number
 
 MAGIC = b"GLCELL1"
 LAYOUTS = ("column-major", "row-major")
@@ -90,26 +91,27 @@ def read_snapshot(path) -> tuple[DiscreteField, float]:
     nl = blob.find(b"\n")
     if nl < 0:
         raise SnapshotError("missing header terminator")
-    try:
-        meta = json.loads(blob[len(MAGIC):nl].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    try:  # a header that is no JSON object fails the unpacking with a TypeError
+        meta = {"alpha": 0.0, "beta": 0.0, **json.loads(blob[len(MAGIC):nl].decode("ascii"))}
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
         raise SnapshotError(f"bad header JSON: {exc}") from exc
-    for key in ("version", "R", "n", "b", "N"):
+    for key in ("version", "R", "n", "b", "N", "alpha", "beta"):
         if key not in meta:
             raise SnapshotError(f"header missing key {key!r}")
+        try:  # checked, not converted: int() would read an N of true as 1
+            check_number(key, meta[key], integral=key in ("version", "n", "N"))
+        except ConfigError as exc:
+            raise SnapshotError(f"header {exc}") from None
+        if not math.isfinite(meta[key]):
+            raise SnapshotError(f"header {key} must be finite, got {meta[key]!r}")
     if meta.get("layout", LAYOUTS[0]) not in LAYOUTS:
         raise SnapshotError(f"unknown payload layout {meta['layout']!r}")
-    n = int(meta["n"])
+    n = meta["n"]
     payload = blob[nl + 1:]
     if len(payload) != 16 * n * n:
-        raise SnapshotError(
-            f"payload length mismatch: got {len(payload)}, want {16 * n * n}"
-        )
+        raise SnapshotError(f"payload length mismatch: got {len(payload)}, want {16 * n * n}")
     flat = np.frombuffer(payload, dtype="<c16")
     u = np.reshape(flat, (n, n), order="F").copy()
-    config = CellConfig(b=float(meta["b"]), N=int(meta["N"]), n=n)
-    grid = build_grid(config)
-    wrap = WrapRule(n=n, N=grid.N, alpha=float(meta.get("alpha", 0.0)),
-                    beta=float(meta.get("beta", 0.0)))
-    field = DiscreteField(u=u, grid=grid, wrap=wrap)
-    return field, float(meta["b"])
+    grid = build_grid(CellConfig(b=meta["b"], N=meta["N"], n=n))
+    wrap = WrapRule(n=n, N=grid.N, alpha=meta["alpha"], beta=meta["beta"])
+    return DiscreteField(u=u, grid=grid, wrap=wrap), meta["b"]

@@ -1,4 +1,4 @@
-import concurrent.futures
+import argparse
 import json
 import os
 import re
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import glcell
-from glcell.cli import EXIT_ERROR, EXIT_MAXITER, EXIT_OK, main
+from glcell.cli import EXIT_ERROR, EXIT_MAXITER, EXIT_OK, build_parser, main
 from glcell.energy import energy
 from glcell.snapshot import read_snapshot
 
@@ -137,8 +137,26 @@ def test_vortices_corrupted_payload(tmp_path, capsys):
     assert "payload length mismatch" in err
 
 
-def test_sweep_csv(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("GLCELL_THREADS", raising=False)
+# C_star values that float() used to convert, and after which every square
+# was classified bad with exit code 0
+@pytest.mark.parametrize("c_star, message", [
+    ("3", "C_star must be a real number, got '3'"),
+    (float("nan"), "C_star must be finite and positive, got nan"),
+    (-1.0, "C_star must be finite and positive, got -1.0"),
+    (True, "C_star must be a real number, got True"),
+])
+def test_vortices_c_star_is_checked_not_converted(c_star, message, tmp_path, capsys):
+    run(["trial", "--b", "0.25", "--N", "1", "--n", "48", "--out", str(tmp_path)], capsys)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"C_star": c_star}))
+    code, _, err = run(["vortices", str(tmp_path / "field.glc"), "--config", str(cfg),
+                        "--out", str(tmp_path / "v")], capsys)
+    assert code == EXIT_ERROR
+    assert f"error: {message}" in err
+    assert not (tmp_path / "v").exists()
+
+
+def test_sweep_csv(tmp_path, capsys):
     out = tmp_path / "sw"
     code, _, _ = run(["sweep", "--b", "0.2,0.25,0.3", "--N", "1",
                       "--out", str(out)], capsys)
@@ -146,11 +164,6 @@ def test_sweep_csv(tmp_path, capsys, monkeypatch):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "b,N,n,g_est,g_trial,d_lower,d_upper,pot,r0,zeta,iterations,stop_reason,flags"
     assert len(lines) == 4
-    # the two points after the anchor from two worker processes: the same bytes
-    code, _, _ = run(["sweep", "--b", "0.2,0.25,0.3", "--N", "1", "--jobs", "2",
-                      "--out", str(tmp_path / "sw2")], capsys)
-    assert code == EXIT_OK
-    assert (tmp_path / "sw2" / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
     points = json.loads((out / "sweep.json").read_text())["points"]
     # the middle b is the cold anchor; the others start from its solution
     assert [p["start"] for p in points] == ["anchor", "trial", "anchor"]
@@ -160,33 +173,17 @@ def test_sweep_csv(tmp_path, capsys, monkeypatch):
         assert isinstance(point["restarts"], int) and 0 <= point["restarts"] < point["iterations"]
 
 
-def test_sweep_threads_cap_runs_serially(tmp_path, capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("GLCELL_THREADS=1 must not start a process pool")
-
-    monkeypatch.setenv("GLCELL_THREADS", "1")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    out = tmp_path / "sw"
-    code, _, _ = run(["sweep", "--b-list", "0.2,0.25,0.3", "--N", "1", "--jobs", "2",
-                      "--out", str(out)], capsys)
-    assert code == EXIT_OK
-    sweep = json.loads((out / "sweep.json").read_text())
-    assert [p["b"] for p in sweep["points"]] == [0.2, 0.25, 0.3]
-
-
-@pytest.mark.parametrize("jobs, threads", [("0", None), ("-3", None), ("2", "0"),
-                                           ("2", "-4"), ("1", "two")])
-def test_sweep_jobs_and_threads_must_be_positive(jobs, threads, tmp_path, capsys,
-                                                 monkeypatch):
-    if threads is None:
-        monkeypatch.delenv("GLCELL_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("GLCELL_THREADS", threads)
-    code, _, err = run(["sweep", "--b", "0.2,0.25,0.3", "--N", "1", "--jobs", jobs,
+def test_sweep_acceptance_report(tmp_path, capsys):
+    code, out, _ = run(["sweep", "--b", "0.2,0.25,0.3", "--N", "1", "--report", "acceptance",
                         "--out", str(tmp_path)], capsys)
-    assert code == EXIT_ERROR
-    assert ("GLCELL_THREADS" if threads else "jobs") in err
-    assert not (tmp_path / "sweep.csv").exists()
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    rows = lines[:lines.index("(remaining acceptance criteria are exercised by the test suite)")]
+    assert rows and all(row.startswith(("[PASS] ", "[FAIL] ")) for row in rows)
+    checks = [row[len("[PASS] "):].split(":")[0] for row in rows]
+    assert sorted(checks) == sorted([*(f"{kind} b={b}" for b in ("0.2", "0.25", "0.3")
+                                       for kind in ("asymptotics", "potential")),
+                                     "derivative b=0.25", "bracket ordering b=0.25"])
 
 
 def test_sweep_single_b_flagged(tmp_path, capsys):
@@ -223,6 +220,12 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
     assert code == EXIT_ERROR
     assert "unknown config keys: ['n']" in err
     assert not (tmp_path / "sweep.csv").exists()
+    # a sweep runs its points in one process and reads no worker count
+    cfg.write_text(json.dumps({"b": "0.2,0.25", "N": 1, "jobs": 2}))
+    code, _, err = run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert code == EXIT_ERROR
+    assert "unknown config keys: ['jobs']" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_inputs_that_would_change_nothing_are_rejected(tmp_path, capsys):
@@ -270,6 +273,7 @@ def test_config_values_are_checked_not_converted(command, cfg, message, tmp_path
 @pytest.mark.parametrize("argv", [
     ["sweep", "--b", "0.2,0.25", "--N", "1", "--n", "400"],
     ["sweep", "--b", "0.2,0.25", "--N", "1", "--seed", "3"],
+    ["sweep", "--b", "0.2,0.25", "--N", "1", "--jobs", "2"],
     ["trial", "--b", "0.25", "--N", "1", "--max-iter", "5"],
     ["trial", "--b", "0.25", "--N", "1", "--seed", "3"],
 ])
@@ -300,3 +304,22 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_flag_table_matches_parser():
+    # README's command table lists, per command, exactly what its subparser
+    # accepts: every option string and the positional arguments (upper case)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| command | flags |"):].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        command, flags = re.fullmatch(r"\| `(\w+)` \| (.*) \|", row).groups()
+        documented[command] = set(re.findall(r"[^\s`/]+", flags))
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {}
+    for command, sub in commands.choices.items():
+        accepted[command] = {a.dest.upper() for a in sub._actions if not a.option_strings}
+        accepted[command] |= {o for a in sub._actions for o in a.option_strings
+                              if o not in ("-h", "--help")}
+    assert documented == accepted

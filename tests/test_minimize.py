@@ -1,10 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import glcell.minimize as minimize_module
-from glcell.energy import DiscreteField, energy, gradient
+from glcell.energy import DiscreteField, energy, gradient, redot
 from glcell.grid import CellConfig, ConfigError, build_grid
 from glcell.minimize import (
     MinimizationError,
@@ -173,6 +174,17 @@ def test_stop_reason_max_iter():
     assert res.operator_evals >= 3 * res.iterations
 
 
+@pytest.mark.parametrize("settings, reason", [(SolverSettings(), "converged"),
+                                              (SolverSettings(max_iter=3), "max_iter")])
+def test_grad_norm_is_the_gradient_of_the_answer(settings, reason):
+    # the loop's last evaluation is at the final field, so grad_norm needs no
+    # second one and is the gradient's norm to the last bit
+    res = minimize(init_state("trial", CFG), B, settings, "trial")
+    assert res.stop_reason == reason
+    g = gradient(res.field, B)
+    assert res.grad_norm == math.sqrt(redot(g, g))
+
+
 def test_stop_reason_line_search_failed_at_round_off():
     # with no tolerance the solver runs into the rounding of the energy; the
     # quartic then predicts no decrease along -P grad and the run stops
@@ -222,8 +234,8 @@ def test_conjugated_preconditioner_matches_gauged_links(b0, b, N, n, gauged_oper
     phi = _unit_phase(start.u)
     s = SolverSettings()
     u, w = start.u.copy(), np.conjugate(phi) * start.u  # updated in place
-    it, _, reason = _ncg(u, start.operator(), b, s, phi)
-    it_w, _, reason_w = _ncg(w, gauged_operator(start.grid, start.wrap, phi), b, s)
+    it, _, reason, _ = _ncg(u, start.operator(), b, s, phi)
+    it_w, _, reason_w, _ = _ncg(w, gauged_operator(start.grid, start.wrap, phi), b, s)
     assert reason == reason_w == "converged"
     assert it == it_w > 10
     assert np.max(np.abs(phi * w - u)) <= 1e-12

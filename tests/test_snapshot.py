@@ -108,6 +108,9 @@ def test_bad_magic_and_header(tmp_path):
     p.write_bytes(MAGIC + b"{not json}\n")
     with pytest.raises(SnapshotError, match="header"):
         read_snapshot(p)
+    p.write_bytes(MAGIC + b"[1, 2]\n")  # JSON, but no object
+    with pytest.raises(SnapshotError, match="bad header JSON"):
+        read_snapshot(p)
     p.write_bytes(MAGIC + b'{"version": 1}\n')
     with pytest.raises(SnapshotError, match="missing key"):
         read_snapshot(p)
@@ -150,3 +153,25 @@ def test_old_header_reads_untwisted(tmp_path):
     rewrite_header(p, lambda meta: meta.update(layout="j-fastest"))
     with pytest.raises(SnapshotError, match="layout"):
         read_snapshot(p)
+
+
+# header values that used to be truncated (an N of 4.7 read as 4), parsed (a
+# b of "0.25") or taken as they were (an N of true read as 1, a NaN twist)
+@pytest.mark.parametrize("edit, message", [
+    ({"N": True}, "header N must be an integer, got True"),
+    ({"N": 4.7}, "header N must be an integer, got 4.7"),
+    ({"n": 32.0}, "header n must be an integer, got 32.0"),
+    ({"version": "1"}, "header version must be an integer, got '1'"),
+    ({"b": "0.25"}, "header b must be a real number, got '0.25'"),
+    ({"R": None}, "header R must be a real number, got None"),
+    ({"alpha": float("nan")}, "header alpha must be finite, got nan"),
+    ({"beta": float("-inf")}, "header beta must be finite, got -inf"),
+])
+def test_header_values_are_checked_not_converted(edit, message, tmp_path):
+    f, b = make_field()
+    p = tmp_path / "a.glc"
+    write_snapshot(p, f, b)
+    rewrite_header(p, lambda meta: meta.update(edit))
+    with pytest.raises(SnapshotError) as info:
+        read_snapshot(p)
+    assert str(info.value) == message

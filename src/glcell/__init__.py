@@ -61,6 +61,7 @@ from .trial import (
 )
 from .vortices import (
     DiscreteMeasure,
+    LatticeMeasure,
     MeasureDistanceReport,
     SquareReport,
     VortexBall,

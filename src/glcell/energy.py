@@ -37,7 +37,7 @@ class CellOperator:
     axis, carry the seam wrap factors.  Its adjoint D* is applied only inside
     D*D u = 4 u - neighbours(u).  `evaluations` counts applications of D and
     D*: `D` and `D_norm2` count as one D, and the stencil `neighbours` as one
-    D and one D*.
+    D and one D*.  `D_axis`, one axis of D for the analysis, is not counted.
     """
 
     def __init__(self, grid: Grid, wrap: WrapRule):
@@ -60,12 +60,15 @@ class CellOperator:
             np.multiply(u[:-1], c, out=out[1:])
             np.multiply(u[-1], seam, out=out[0])
 
+    def D_axis(self, u: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+        """out = the covariant difference of u along one axis, D u's dx or dy."""
+        self._hop(u, axis, out)
+        out -= u
+        return out
+
     def D(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(dx, dy) = D u."""
-        out = (np.empty(u.shape, np.complex128), np.empty(u.shape, np.complex128))
-        for axis, v in enumerate(out):
-            self._hop(u, axis, v)
-            v -= u
+        out = tuple(self.D_axis(u, axis, np.empty(u.shape, np.complex128)) for axis in (0, 1))
         self.evaluations += 1
         return out
 
@@ -82,8 +85,7 @@ class CellOperator:
         """|D d|^2, one axis at a time in work."""
         total = 0.0
         for axis in (0, 1):
-            self._hop(d, axis, work)
-            work -= d
+            self.D_axis(d, axis, work)
             total += redot(work, work)
         self.evaluations += 1
         return total

@@ -19,7 +19,6 @@ where P fits the covariant Laplacian near the start.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -35,7 +34,7 @@ from .energy import (
     line_quartic,
     redot,
 )
-from .grid import CellConfig, ConfigError, WrapRule, build_grid
+from .grid import CellConfig, ConfigError, WrapRule, build_grid, check_number
 from .trial import build_trial
 
 SIGMA = 2.0  # potential shift of the preconditioner, in units of 2 h^2
@@ -54,10 +53,12 @@ class SolverSettings:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+        # check_number rejects bools: a true from a config file would run as 1
+        check_number("max_iter", self.max_iter, integral=True)
+        if self.max_iter < 0:
             raise ConfigError(f"max_iter must be a non-negative integer, got {self.max_iter!r}")
-        if not (isinstance(self.grad_tol, numbers.Real) and math.isfinite(self.grad_tol)
-                and self.grad_tol >= 0.0):
+        check_number("grad_tol", self.grad_tol)
+        if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0.0):
             raise ConfigError(f"grad_tol must be finite and non-negative, got {self.grad_tol!r}")
 
 

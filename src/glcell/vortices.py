@@ -7,7 +7,9 @@ the collection is pairwise disjoint, and each ball gets an integer degree
 from the winding of u/|u| along a surrounding lattice loop.  The cell tiles
 into N congruent squares of area 2*pi which are classified good or bad by
 their local energy, and the vorticity measure mu = curl j + curl A0 always
-carries total mass 2*pi*N by telescoping.
+carries total mass 2*pi*N by telescoping.  mu stays on its plaquette lattice
+(LatticeMeasure), so its Lipschitz-dual distance pairs it with the tents one
+axis at a time; scattered atoms (DiscreteMeasure) are paired atom by atom.
 
 Everything here reads the field's own connection: covariant differences go
 through its cell operator, and loop values through grid.wrap_value, one
@@ -77,6 +79,35 @@ class DiscreteMeasure:
                 f"points must be (k, 2) and weights (k,), got {shape} "
                 f"and {np.shape(self.weights)}"
             )
+
+    @property
+    def mass(self) -> float:
+        return float(np.sum(self.weights))
+
+
+@dataclass
+class LatticeMeasure:
+    """Atoms on the lattice xs x ys, weights[i, j] at (xs[i], ys[j]).  The
+    axes need not be sorted or evenly spaced."""
+
+    xs: np.ndarray = dfield(repr=False)       # (nx,)
+    ys: np.ndarray = dfield(repr=False)       # (ny,)
+    weights: np.ndarray = dfield(repr=False)  # (nx, ny)
+    uniform_density = 0.0  # no background: a class constant, not a field
+
+    def __post_init__(self):
+        if (np.ndim(self.xs) != 1 or np.ndim(self.ys) != 1
+                or np.shape(self.weights) != (np.size(self.xs), np.size(self.ys))):
+            raise VortexError(
+                f"xs and ys must be vectors and weights (len(xs), len(ys)), got "
+                f"{np.shape(self.xs)}, {np.shape(self.ys)} and {np.shape(self.weights)}"
+            )
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (k, 2) atom points in weights.ravel() order, built on each access."""
+        X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
+        return np.column_stack([X.ravel(), Y.ravel()])
 
     @property
     def mass(self) -> float:
@@ -280,7 +311,8 @@ def _merge_disks(disks, R, clearance):
             c1, r1 = disks.pop()
             merged = False
             for k, (c2, r2) in enumerate(out):
-                d = _torus_delta(c1, c2, R)
+                # _torus_delta in Python floats: numpy on 2-tuples costs more
+                d = ((c1[0] - c2[0] + R / 2) % R - R / 2, (c1[1] - c2[1] + R / 2) % R - R / 2)
                 dist = math.hypot(d[0], d[1])
                 if dist < r1 + r2 + clearance:
                     if dist + min(r1, r2) <= max(r1, r2):
@@ -380,10 +412,16 @@ def classify_squares(
     side = g.R / k
     if balls is None:
         balls = find_balls(field, b)
-    dx, dy = covariant_differences(field)
-    kin_site = np.abs(dx) ** 2 + np.abs(dy) ** 2
-    pot_site = 0.5 * g.h**2 * (1.0 - np.abs(field.u) ** 2) ** 2
-    local = b * kin_site + pot_site
+    # local = b |D u|^2 + (h^2/2) (1 - |u|^2)^2 per site, D u one axis at a time
+    op, u = field.operator(), field.u
+    d, local, tmp = np.empty(u.shape, np.complex128), np.zeros(u.shape), np.empty(u.shape)
+    for axis in (0, 1):
+        local += np.square(np.abs(op.D_axis(u, axis, d), out=tmp), out=tmp)
+    local *= b
+    np.square(np.abs(u, out=tmp), out=tmp)
+    np.square(np.subtract(1.0, tmp, out=tmp), out=tmp)
+    tmp *= 0.5 * g.h**2
+    local += tmp
     margin = math.sqrt(b)
     budget = radius_budget(b)
     reports = []
@@ -463,22 +501,37 @@ def vorticity(field: DiscreteField) -> VorticityField:
     R^2 = 2*pi*N for every field.
     """
     g = field.grid
-    jx, jy = supercurrent(field)
-    circ = g.h * (
-        jx + np.roll(jy, -1, axis=0) - np.roll(jx, -1, axis=1) - jy
-    )
-    mu = circ + g.h**2
+    op, u = field.operator(), field.u
+    d = np.empty(u.shape, np.complex128)
+
+    def current(axis):
+        # supercurrent's j = Im(conj(u) D u) / h, formed in d as Im(u conj(D u)) / -h:
+        # the same complex product, so mu matches supercurrent's bit for bit
+        op.D_axis(u, axis, d)
+        np.multiply(u, np.conjugate(d, out=d), out=d)
+        d.imag /= -g.h
+        return d.imag
+
+    mu = current(0).copy()
+    jy = current(1)
+    jx_next = d.real  # free once jy is formed
+    jx_next[:, :-1], jx_next[:, -1] = mu[:, 1:], mu[:, 0]
+    # circ = h (jx + jy(x + h e1) - jx(x + h e2) - jy), in supercurrent's order
+    mu[:-1] += jy[1:]
+    mu[-1] += jy[0]
+    mu -= jx_next
+    mu -= jy
+    mu *= g.h
+    mu += g.h**2
     return VorticityField(mu=mu, total_mass=math.fsum(np.sum(mu, axis=0)),
                           h=g.h, R=g.R)
 
 
-def vorticity_measure(vf: VorticityField) -> DiscreteMeasure:
-    """Vorticity field as atoms at plaquette centers."""
-    n = vf.mu.shape[0]
-    x = -vf.R / 2 + vf.h * (np.arange(n) + 0.5)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    return DiscreteMeasure(points=pts, weights=vf.mu.ravel().astype(float))
+def vorticity_measure(vf: VorticityField) -> LatticeMeasure:
+    """Vorticity field as atoms at plaquette centres, kept on their lattice:
+    weights[i, j] = mu[i, j] at (x[i], x[j]), which shares vf.mu's memory."""
+    x = -vf.R / 2 + vf.h * (np.arange(vf.mu.shape[0]) + 0.5)
+    return LatticeMeasure(xs=x, ys=x, weights=np.asarray(vf.mu, dtype=float))
 
 
 def uniform_measure(domain, density: float) -> DiscreteMeasure:
@@ -487,29 +540,37 @@ def uniform_measure(domain, density: float) -> DiscreteMeasure:
                            uniform_density=density)
 
 
-# atoms per block in _level_pairings: bounds its temporaries to about 2.5 MB
-# (the tracemalloc peak at n=568; 2**15 doubles it and is no faster)
+# atoms per block in _level_pairings, scattered or in whole lattice rows:
+# bounds its temporaries (the tracemalloc peak of the n=568 depth-4 dual
+# distance is 0.9 MB for the lattice and 2.4 MB for the same atoms
+# scattered); 2**13 and 2**15 are both slower on the lattice
 _ATOM_CHUNK = 2**14
 
 
-def _level_pairings(mu: DiscreteMeasure, x_lo, y_lo, sx, sy, cx, cy, s) -> np.ndarray:
+def _level_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry) -> np.ndarray:
     """<mu, tent> for every tent of one dyadic level, as an (nx, nx) array.
 
-    The tent (ii, jj) sits at (cx[ii], cy[jj]) with radius s[ii, jj] <= the
-    cell sides sx and sy, so an atom pairs to nonzero only with the tent of
-    its own cell or of the neighbour on its nearer side, per axis.  The tent
-    grid is padded with a ring of zero-radius tents, and a candidate index
-    is clipped onto that ring, so an atom at or past the domain edge pairs
-    to exactly 0 there without a mask; the ring is dropped on return.
+    The tent (ii, jj) sits at (cx[ii], cy[jj]) with radius
+    min(rx[ii], ry[jj]) <= the cell sides sx and sy, so an atom pairs to
+    nonzero only with the tent of its own cell or of the neighbour on its
+    nearer side, per axis.  The tent grid is padded with a ring of
+    zero-radius tents, and a candidate index is clipped onto that ring, so an
+    atom at or past the domain edge pairs to exactly 0 there without a mask;
+    the ring is dropped on return.
+
+    A DiscreteMeasure finds its candidates atom by atom, in blocks of
+    _ATOM_CHUNK atoms, and sums each block into the tents with bincount.  A
+    LatticeMeasure finds them once per axis, for len(xs) + len(ys) values,
+    evaluates the four candidate pairs on blocks of about _ATOM_CHUNK atoms
+    (whole rows), and sums each block into the tents by its (row tent,
+    column tent) index as one-hot matrix products.
     """
     nx = len(cx)
-    s_pad = np.zeros((nx + 2, nx + 2))
-    s_pad[1:-1, 1:-1] = s
-    s_pad = s_pad.ravel()
     # ring centres one cell beyond the ends keep every offset finite
     cx_pad = np.concatenate([[cx[0] - sx], cx, [cx[-1] + sx]])
     cy_pad = np.concatenate([[cy[0] - sy], cy, [cy[-1] + sy]])
-    sums = np.zeros((nx + 2) ** 2)
+    rx_pad, ry_pad = np.pad(rx, 1), np.pad(ry, 1)
+    sums = np.zeros((nx + 2, nx + 2))
 
     def candidates(p, lo, side, centres):
         # padded index and squared offset of the own-cell and nearer-neighbour tents
@@ -522,25 +583,49 @@ def _level_pairings(mu: DiscreteMeasure, x_lo, y_lo, sx, sy, cx, cy, s) -> np.nd
             out.append((k, (p - centres[k]) ** 2))
         return out
 
-    for start in range(0, len(mu.weights), _ATOM_CHUNK):
-        w = mu.weights[start:start + _ATOM_CHUNK]
-        xs = candidates(mu.points[start:start + _ATOM_CHUNK, 0], x_lo, sx, cx_pad)
-        ys = candidates(mu.points[start:start + _ATOM_CHUNK, 1], y_lo, sy, cy_pad)
-        for i, dx2 in xs:
-            for j, dy2 in ys:
-                tent = i * (nx + 2) + j
-                term = np.maximum(s_pad[tent] - np.sqrt(dx2 + dy2), 0.0) * w
-                sums += np.bincount(tent, term, minlength=(nx + 2) ** 2)
-    sums = sums.reshape(nx + 2, nx + 2)[1:-1, 1:-1]
+    def pair(ri, rj, dx2, dy2, w):
+        # (s - |x - c|)_+ w of each atom and its candidate tent, s = min(ri, rj)
+        term = np.add(dx2, dy2)
+        np.subtract(np.minimum(ri, rj), np.sqrt(term, out=term), out=term)
+        np.maximum(term, 0.0, out=term)
+        term *= w
+        return term
+
+    if isinstance(mu, LatticeMeasure):
+        def one_hot(p, lo, side, centres, radii):
+            # the candidates of one axis, each index as a one-hot (len, nx + 2) matrix
+            return [(np.equal.outer(k, np.arange(nx + 2)).astype(float), radii[k], d2)
+                    for k, d2 in candidates(p, lo, side, centres)]
+
+        xs = one_hot(mu.xs, x_lo, sx, cx_pad, rx_pad)
+        ys = one_hot(mu.ys, y_lo, sy, cy_pad, ry_pad)
+        rows = max(1, _ATOM_CHUNK // max(len(mu.ys), 1))
+        for start in range(0, len(mu.xs), rows):
+            block = slice(start, start + rows)
+            for row_tents, ri, dx2 in xs:
+                for col_tents, rj, dy2 in ys:
+                    term = pair(ri[block, None], rj, dx2[block, None], dy2, mu.weights[block])
+                    sums += row_tents[block].T @ (term @ col_tents)
+    else:
+        for start in range(0, len(mu.weights), _ATOM_CHUNK):
+            block = slice(start, start + _ATOM_CHUNK)
+            xs = candidates(mu.points[block, 0], x_lo, sx, cx_pad)
+            ys = candidates(mu.points[block, 1], y_lo, sy, cy_pad)
+            for i, dx2 in xs:
+                for j, dy2 in ys:
+                    term = pair(rx_pad[i], ry_pad[j], dx2, dy2, mu.weights[block])
+                    sums += np.bincount(i * (nx + 2) + j, term,
+                                        minlength=(nx + 2) ** 2).reshape(nx + 2, nx + 2)
+    sums = sums[1:-1, 1:-1]
     if mu.uniform_density:
         # exact cone integral: int (s - |x - c|)_+ dx = pi s^3 / 3
-        sums += mu.uniform_density * math.pi * s**3 / 3.0
+        sums += mu.uniform_density * math.pi * np.minimum.outer(rx, ry) ** 3 / 3.0
     return sums
 
 
 def lipschitz_dual_distance(
-    mu_a: DiscreteMeasure,
-    mu_b: DiscreteMeasure,
+    mu_a: DiscreteMeasure | LatticeMeasure,
+    mu_b: DiscreteMeasure | LatticeMeasure,
     domain: tuple[float, float, float, float],
     dictionary_depth: int = 6,
 ) -> MeasureDistanceReport:
@@ -555,14 +640,16 @@ def lipschitz_dual_distance(
     A tent's radius is at most the side of its dyadic cell, so an atom lies
     in the support of at most 4 tents per depth: per axis, the tent of its
     own cell and the one of the neighbouring cell on the nearer side.  Each
-    depth therefore costs O(atoms + tents), not O(atoms * tents).  The
-    witness is the first tent in (depth, ii, jj) order within 1e-12 relative
-    of the maximum, or (0, 0, 0) when every pairing is 0.
+    depth therefore costs O(atoms + tents), not O(atoms * tents), and a
+    LatticeMeasure finds those tents per axis, not per atom.  The witness is
+    the first tent in (depth, ii, jj) order within 1e-12 relative of the
+    maximum, or (0, 0, 0) when every pairing is 0.
     """
     if dictionary_depth < 0:
         raise VortexError("empty dictionary")
     for mu in (mu_a, mu_b):
-        if not (np.isfinite(mu.points).all() and np.isfinite(mu.weights).all()
+        coords = (mu.xs, mu.ys) if isinstance(mu, LatticeMeasure) else (mu.points,)
+        if not (all(np.isfinite(c).all() for c in coords) and np.isfinite(mu.weights).all()
                 and math.isfinite(mu.uniform_density)):
             raise VortexError("measure has a non-finite atom point, weight or density")
     x_lo, x_hi, y_lo, y_hi = domain
@@ -574,14 +661,15 @@ def lipschitz_dual_distance(
         sx, sy = Lx / nx, Ly / nx
         cx = x_lo + (np.arange(nx) + 0.5) * sx
         cy = y_lo + (np.arange(nx) + 0.5) * sy
-        s = np.minimum(np.minimum(cx - x_lo, x_hi - cx)[:, None],
-                       np.minimum(cy - y_lo, y_hi - cy)[None, :])
-        s = np.minimum(s, min(sx, sy))
+        # the radius separates by axis: s[ii, jj] = min(rx[ii], ry[jj])
+        rx = np.minimum(np.minimum(cx - x_lo, x_hi - cx), min(sx, sy))
+        ry = np.minimum(np.minimum(cy - y_lo, y_hi - cy), min(sx, sy))
+        s = np.minimum.outer(rx, ry)
         valid = s > 0.0
         if not valid.any():
             continue
         count += int(np.count_nonzero(valid))
-        pa, pb = (_level_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, s) for mu in (mu_a, mu_b))
+        pa, pb = (_level_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry) for mu in (mu_a, mu_b))
         levels.append((np.where(valid, np.abs(pa - pb), 0.0), cx, cy, s))
     if count == 0:
         raise VortexError("empty dictionary")

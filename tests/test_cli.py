@@ -270,6 +270,18 @@ def test_config_values_are_checked_not_converted(command, cfg, message, tmp_path
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["minimize", "sweep"])
+@pytest.mark.parametrize("key, kind", [("max_iter", "an integer"), ("grad_tol", "a real number")])
+def test_solver_settings_reject_true_in_config(command, key, kind, tmp_path, capsys):
+    # a true used to run a 1-iteration budget or a tolerance of 1.0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"b": 0.25, "N": 1, key: True}))
+    code, _, err = run([command, "--config", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert code == EXIT_ERROR
+    assert f"error: {key} must be {kind}, got True" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--b", "0.2,0.25", "--N", "1", "--n", "400"],
     ["sweep", "--b", "0.2,0.25", "--N", "1", "--seed", "3"],

@@ -166,6 +166,16 @@ def test_solver_settings_reject_bad_values(bad):
         SolverSettings(**bad)
 
 
+@pytest.mark.parametrize("bad", [{"max_iter": True}, {"grad_tol": True}, {"max_iter": False},
+                                 {"grad_tol": False}])
+def test_solver_settings_reject_bools(bad):
+    with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be"):
+        SolverSettings(**bad)
+    # numpy numbers are numbers
+    settings = SolverSettings(max_iter=np.int64(7), grad_tol=np.float64(1e-6))
+    assert (settings.max_iter, settings.grad_tol) == (7, 1e-6)
+
+
 def test_stop_reason_max_iter():
     res = minimize(init_state("random", CFG), B, SolverSettings(max_iter=3, grad_tol=1e-14))
     assert res.stop_reason == "max_iter"

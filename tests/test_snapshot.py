@@ -65,6 +65,16 @@ def test_round_trip_property(tmp_path_factory, drawn):
     assert back.u.tobytes() == f.u.tobytes()
 
 
+def test_payload_bytes_are_column_major_little_endian(tmp_path):
+    # the payload written from one F-order buffer is the bytes of the reference layout
+    f, b = make_field(n=37, seed=4)
+    p = tmp_path / "a.glc"
+    write_snapshot(p, f, b)
+    payload = p.read_bytes().split(b"\n", 1)[1]
+    assert payload == f.u.astype("<c16").ravel(order="F").tobytes()
+    assert read_snapshot(p)[0].u.flags.c_contiguous
+
+
 def test_header_format(tmp_path):
     f, b = make_field()
     p = tmp_path / "a.glc"

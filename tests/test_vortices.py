@@ -13,10 +13,13 @@ from glcell.grid import TWO_PI, CellConfig, WrapRule, build_grid
 from glcell.trial import build_trial, trial_config
 from glcell.vortices import (
     DiscreteMeasure,
+    LatticeMeasure,
     VortexError,
     VorticityField,
     _component_disk,
     _components,
+    _level_pairings,
+    _merge_disks,
     _square_loop,
     _torus_delta,
     cell_boundary_loop,
@@ -588,6 +591,146 @@ def test_dual_distance_witness_ignores_summation_order(monkeypatch):
         for rep in reports:
             assert rep.witness == witness
             assert abs(rep.estimate - reports[0].estimate) <= 1e-12 * reports[0].estimate
+
+
+def scattered_twin(mu):
+    """The atoms of a LatticeMeasure as a DiscreteMeasure, in the same order."""
+    return DiscreteMeasure(points=mu.points, weights=mu.weights.ravel())
+
+
+def lattice_cases():
+    rng = np.random.default_rng(23)
+    square = (-2.0, 2.0, -2.0, 2.0)
+    wide = (-1.3, 2.1, -0.7, 0.9)
+
+    def lattice(xs, ys):
+        return LatticeMeasure(xs=xs, ys=ys, weights=rng.normal(size=(len(xs), len(ys))))
+
+    # dyadic edges and centres down to depth 6, and points on or past the edges
+    edges = -2.0 + np.arange(65) * (4.0 / 64)
+    centres = -2.0 + (np.arange(64) + 0.5) * (4.0 / 64)
+    outside = np.array([-3.0, -2.0, -2.0001, 2.0, 2.5, 10.0])
+    uneven = np.cumsum(rng.uniform(0.01, 0.2, 30)) - 1.4  # non-uniform spacing
+    wide_edges = wide[2] + np.arange(33) * (1.6 / 32)
+    return [
+        (lattice(rng.uniform(-2.5, 2.5, 40), edges), uniform_measure(square, 0.3), square),
+        (lattice(np.concatenate([centres, outside]), rng.permutation(edges)),
+         lattice(edges[::3], centres[::5]), square),
+        (lattice(uneven, wide_edges),
+         DiscreteMeasure(points=rng.uniform(-1.3, 2.1, (25, 2)) * [1.0, 0.45],
+                         weights=rng.normal(size=25)), wide),
+        (lattice(rng.permutation(uneven), np.concatenate([wide_edges, outside])),
+         uniform_measure(wide, 1.1), wide),
+        (lattice(np.zeros(0), edges), uniform_measure(square, 0.5), square),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_lattice_measure_matches_its_scattered_twin(case):
+    # the per-axis pairing of a lattice gives the per-atom pairing of the same
+    # atoms up to the summation order, tent by tent, with the same estimate,
+    # witness and dictionary
+    mu_a, mu_b, dom = lattice_cases()[case]
+    twin_a = scattered_twin(mu_a)
+    twin_b = scattered_twin(mu_b) if isinstance(mu_b, LatticeMeasure) else mu_b
+    x_lo, x_hi, y_lo, y_hi = dom
+    for depth in range(7):
+        nx = 2**depth
+        sx, sy = (x_hi - x_lo) / nx, (y_hi - y_lo) / nx
+        cx = x_lo + (np.arange(nx) + 0.5) * sx
+        cy = y_lo + (np.arange(nx) + 0.5) * sy
+        rx = np.minimum(np.minimum(cx - x_lo, x_hi - cx), min(sx, sy))
+        ry = np.minimum(np.minimum(cy - y_lo, y_hi - cy), min(sx, sy))
+        level = [_level_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry) for mu in (mu_a, twin_a)]
+        assert np.abs(level[0] - level[1]).max() <= 1e-12 * np.abs(level[1]).max()
+        rep = lipschitz_dual_distance(mu_a, mu_b, dom, depth)
+        ref = lipschitz_dual_distance(twin_a, twin_b, dom, depth)
+        assert abs(rep.estimate - ref.estimate) <= 1e-12 * abs(ref.estimate)
+        assert rep.witness == ref.witness
+        assert rep.dictionary == ref.dictionary
+
+
+def test_vorticity_lattice_matches_its_scattered_twin():
+    # n = 568 at depth 4: a dyadic cell is 35.5 atoms wide, so cell edges cut
+    # through plaquette rows
+    n, N = 568, 16
+    R = math.sqrt(TWO_PI * N)
+    mu = np.random.default_rng(11).normal(size=(n, n))
+    atoms = vorticity_measure(VorticityField(mu=mu, total_mass=0.0, h=R / n, R=R))
+    assert isinstance(atoms, LatticeMeasure)
+    dom = (-R / 2, R / 2, -R / 2, R / 2)
+    leb = uniform_measure(dom, 1.0)
+    rep = lipschitz_dual_distance(atoms, leb, dom, 4)
+    ref = lipschitz_dual_distance(scattered_twin(atoms), leb, dom, 4)
+    assert abs(rep.estimate - ref.estimate) <= 1e-12 * ref.estimate
+    assert (rep.witness, rep.dictionary) == (ref.witness, ref.dictionary)
+
+
+def test_lattice_measure_points_and_checks():
+    xs, ys = np.array([0.5, -1.0, 2.0]), np.array([0.1, 0.3])
+    w = np.arange(6.0).reshape(3, 2)
+    mu = LatticeMeasure(xs=xs, ys=ys, weights=w)
+    # .points follows weights.ravel(): point k carries weight w.ravel()[k]
+    for k, (x, y) in enumerate(mu.points):
+        i, j = divmod(k, 2)
+        assert (x, y, w.ravel()[k]) == (xs[i], ys[j], w[i, j])
+    assert mu.points.shape == (6, 2) and mu.mass == 15.0
+    for bad in [dict(xs=xs, ys=ys, weights=w.T), dict(xs=xs, ys=ys, weights=w.ravel()),
+                dict(xs=xs[:, None], ys=ys, weights=w), dict(xs=xs, ys=ys, weights=w[:2])]:
+        with pytest.raises(VortexError, match=r"\(len\(xs\), len\(ys\)\)"):
+            LatticeMeasure(**bad)
+    dom = (-2.0, 2.0, -2.0, 2.0)
+    for field_name, index in (("xs", 1), ("ys", 0), ("weights", (2, 1))):
+        arrays = dict(xs=xs.copy(), ys=ys.copy(), weights=w.copy())
+        arrays[field_name][index] = np.nan if field_name == "weights" else np.inf
+        with pytest.raises(VortexError, match="non-finite"):
+            lipschitz_dual_distance(LatticeMeasure(**arrays), uniform_measure(dom, 1.0), dom, 3)
+
+
+def test_merge_disks_matches_numpy_offsets():
+    # _merge_disks takes its torus offsets in Python floats; the numpy
+    # _torus_delta of the same pair gives the same disks, across both seams
+    R = 10.0
+
+    def numpy_merge(disks, clearance):
+        disks = list(disks)
+        changed = True
+        while changed:
+            changed = False
+            out = []
+            while disks:
+                c1, r1 = disks.pop()
+                for k, (c2, r2) in enumerate(out):
+                    d = _torus_delta(c1, c2, R)
+                    dist = math.hypot(d[0], d[1])
+                    if dist < r1 + r2 + clearance:
+                        if dist + min(r1, r2) <= max(r1, r2):
+                            c, r = (c1, r1) if r1 >= r2 else (c2, r2)
+                        else:
+                            t = (dist + r1 - r2) / (2.0 * max(dist, 1e-300))
+                            c = (c2[0] + t * d[0], c2[1] + t * d[1])
+                            c = ((c[0] + R / 2) % R - R / 2, (c[1] + R / 2) % R - R / 2)
+                            r = (dist + r1 + r2) / 2.0
+                        out[k] = (c, r)
+                        changed = True
+                        break
+                else:
+                    out.append((c1, r1))
+            disks = out
+        return disks
+
+    disks = [((4.9, 0.0), 0.15), ((-4.93, 0.1), 0.1),        # across the x seam
+             ((0.2, 4.95), 0.12), ((0.1, -4.9), 0.2),         # across the y seam
+             ((4.9, 4.9), 0.1), ((-4.95, -4.92), 0.08),       # across the corner
+             ((1.0, 1.0), 0.3), ((1.2, 1.1), 0.05),           # one inside the other
+             ((-2.0, 3.0), 0.2), ((2.5, -2.5), 0.1)]          # apart
+    rng = np.random.default_rng(3)
+    disks += [((float(x), float(y)), float(r)) for (x, y), r in
+              zip(rng.uniform(-R / 2, R / 2, (30, 2)), rng.uniform(0.05, 0.4, 30))]
+    for clearance in (0.0, 0.05):
+        merged = _merge_disks(disks, R, clearance)
+        assert merged == numpy_merge(disks, clearance)
+        assert len(merged) < len(disks)
 
 
 def reference_components(mask):

@@ -1,21 +1,13 @@
 """Walk through the explicit vortex-lattice trial state.
 
-Builds the periodic cell Green function, assembles the trial field for a
-4x4 vortex lattice, and compares its energy density against the leading
-prediction b*|log sqrt(b)| - 1/2 per unit flux.
+Assembles the trial field for a 4x4 vortex lattice, compares its energy
+density against the leading prediction b*|log sqrt(b)| - 1/2 per unit flux,
+and counts its vortices by the boundary winding.
 """
-
-import math
 
 from glcell.energy import energy
 from glcell.grid import TWO_PI, build_grid
-from glcell.trial import (
-    build_trial,
-    predicted_density,
-    ring_log_slope,
-    solve_cell_green,
-    trial_config,
-)
+from glcell.trial import build_trial, predicted_density, trial_config
 from glcell.vortices import cell_boundary_loop, winding
 
 b, N = 0.04, 16
@@ -23,12 +15,6 @@ b, N = 0.04, 16
 cfg = trial_config(b, N)
 grid = build_grid(cfg)
 print(f"cell: R = {grid.R:.4f}, n = {grid.n}, h = {grid.h:.5f}")
-
-# the periodic Green function behaves like log|x - a1| near its pole, so
-# the ring-averaged radial log-slope should sit close to 1
-green = solve_cell_green(128)
-slope = ring_log_slope(green, 0.08, 0.35)
-print(f"green log slope = {slope:.5f} (expect 1)")
 
 field = build_trial(b, N, grid)
 per_flux = energy(field, b).total / (TWO_PI * N)

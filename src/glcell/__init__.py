@@ -48,15 +48,13 @@ from .minimize import (
     estimate_g,
     init_state,
 )
-from .snapshot import SnapshotError, SnapshotHeader, read_snapshot, write_snapshot
+from .snapshot import SnapshotError, read_snapshot, write_snapshot
 from .trial import (
-    CellGreen,
     PhaseField,
     TrialError,
     build_phase,
     build_trial,
     predicted_density,
-    solve_cell_green,
     trial_config,
 )
 from .vortices import (

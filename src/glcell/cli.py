@@ -47,6 +47,9 @@ def _load_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
         raw = json.loads(Path(args.config).read_text())
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object, "
+                              f"got {type(raw).__name__}")
         unknown = set(raw) - keys
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)} "
@@ -56,6 +59,9 @@ def _load_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val  # flags override file values
+    if "b" in keys and {"b", "b_list"}.isdisjoint(cfg):
+        raise ConfigError(f"b is required (usage: glcell {args.command} --b B [options], "
+                          f"or b in a --config file)")
     return cfg
 
 
@@ -234,25 +240,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--seed", type=int)
     solver(p_min)
     p_min.add_argument("--init", choices=["uniform", "random", "trial"])
-    p_min.set_defaults(func=cmd_minimize, requires_b=True)
+    p_min.set_defaults(func=cmd_minimize)
 
     p_tr = sub.add_parser("trial", help="build the vortex-lattice trial state")
     common(p_tr, type=float)
     p_tr.add_argument("--n", type=int)
-    p_tr.set_defaults(func=cmd_trial, requires_b=True)
+    p_tr.set_defaults(func=cmd_trial)
 
     p_vx = sub.add_parser("vortices", help="detect vortices in a snapshot")
     p_vx.add_argument("snapshot", help="path to a GLCELL1 field snapshot")
     p_vx.add_argument("--config")
     p_vx.add_argument("--out")
     p_vx.add_argument("--C-star", dest="C_star", type=float)
-    p_vx.set_defaults(func=cmd_vortices, requires_b=False)
+    p_vx.set_defaults(func=cmd_vortices)
 
     p_sw = sub.add_parser("sweep", help="g(b) sweep over several b values")
     common(p_sw, "--b-list", dest="b_list", help="comma-separated b values")
     solver(p_sw)
     p_sw.add_argument("--report", choices=["acceptance"])
-    p_sw.set_defaults(func=cmd_sweep, requires_b=True)
+    p_sw.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -262,12 +268,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
-    if args.requires_b and getattr(args, "b", None) is None \
-            and getattr(args, "b_list", None) is None \
-            and not getattr(args, "config", None):
-        print(f"usage: glcell {args.command} --b B [options]", file=sys.stderr)
-        print("error: --b is required (or provide --config)", file=sys.stderr)
-        return EXIT_ERROR
     try:
         return args.func(args)
     except (ConfigError, TrialError, SnapshotError, MinimizationError,

@@ -7,8 +7,9 @@ gauge invariant.  Potential term per site: (h^2/2) (1 - |u|^2)^2.  The
 
 The connection is a function of the field's grid and wrap rule alone
 (grid.connection), four length-n vectors of link factors.  Every covariant
-difference goes through one CellOperator per field, built on first use and
-cached on the field (DiscreteField.operator).  The solver's kernels,
+difference goes through a CellOperator, which DiscreteField.operator builds
+afresh on each call (eight length-n vectors, cheap to build), so a replaced
+grid or wrap rule never meets a stale connection.  The solver's kernels,
 energy_and_gradient and line_quartic, form D*D as one neighbour stencil and
 |D d|^2 one axis at a time, in buffers the caller owns.  A solve in another
 gauge conjugates its preconditioner, not this operator
@@ -98,7 +99,6 @@ class DiscreteField:
     u: np.ndarray = field(repr=False)  # (n, n) complex128, u[i, j]
     grid: Grid
     wrap: WrapRule
-    _operator: CellOperator | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, N = self.grid.n, self.grid.N
@@ -109,20 +109,11 @@ class DiscreteField:
                               f"the grid has n={n}, N={N}")
 
     def copy(self) -> "DiscreteField":
-        out = replace(self, u=self.u.copy())
-        out._operator = self._operator  # valid while grid and wrap are shared
-        return out
+        return replace(self, u=self.u.copy())
 
     def operator(self) -> CellOperator:
-        """The cell operator of this field's grid and wrap rule, built once.
-
-        It is rebuilt whenever either is no longer the object it was built
-        from, so a replaced grid or wrap never meets a stale connection.
-        """
-        op = self._operator
-        if op is None or op.grid is not self.grid or op.wrap is not self.wrap:
-            op = self._operator = CellOperator(self.grid, self.wrap)
-        return op
+        """A new cell operator on this field's grid and wrap rule."""
+        return CellOperator(self.grid, self.wrap)
 
 
 @dataclass(frozen=True)
@@ -152,10 +143,15 @@ def energy(field: DiscreteField, b: float) -> EnergyBreakdown:
         raise EnergyError(f"b out of range: {b}")
     if not np.all(np.isfinite(field.u)):
         raise EnergyError("non-finite field values")
-    g = field.grid
-    dx, dy = covariant_differences(field)
+    return _breakdown(field.operator(), field.u, b)
+
+
+def _breakdown(op: CellOperator, u: np.ndarray, b: float) -> EnergyBreakdown:
+    """The energy of u on op's connection, each sum compensated."""
+    g = op.grid
+    dx, dy = op.D(u)
     kinetic = b * (_accurate_sum(np.abs(dx) ** 2) + _accurate_sum(np.abs(dy) ** 2))
-    rho2 = np.abs(field.u) ** 2
+    rho2 = np.abs(u) ** 2
     potential = 0.5 * g.h**2 * _accurate_sum((1.0 - rho2) ** 2)
     return EnergyBreakdown(kinetic=kinetic, potential=potential, offset=-0.5 * g.area)
 

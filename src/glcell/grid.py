@@ -72,8 +72,6 @@ class CellConfig:
             raise ConfigError(
                 f"grid too coarse: h={h:.5g} exceeds sqrt(b)/8={math.sqrt(self.b)/8:.5g}"
             )
-        if abs(self.R**2 - TWO_PI * self.N) > 1e-12:
-            raise ConfigError("R^2 must equal 2*pi*N")
 
     @property
     def R(self) -> float:

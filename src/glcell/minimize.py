@@ -28,13 +28,14 @@ from .energy import (
     CellOperator,
     DiscreteField,
     EnergyBreakdown,
+    _breakdown,
     density_moments,
     energy,
     energy_and_gradient,
     line_quartic,
     redot,
 )
-from .grid import CellConfig, ConfigError, WrapRule, build_grid, check_number
+from .grid import CellConfig, ConfigError, WrapRule, build_grid, check_b, check_number
 from .trial import build_trial
 
 SIGMA = 2.0  # potential shift of the preconditioner, in units of 2 h^2
@@ -100,7 +101,7 @@ class GCurvePoint:
     flags: list = field(default_factory=list)
     start: str = "trial"              # the init: "trial", or "anchor" for a warm start
     wall_s: float | None = None       # wall time of the whole point
-    # the minimizer, without its cached operator: the start of warm points
+    # the minimizer: the start of warm points
     solution: DiscreteField | None = field(default=None, repr=False, compare=False)
 
 
@@ -257,14 +258,14 @@ def _solve(init: DiscreteField, b: float, settings: SolverSettings | None, init_
     from the trial state, with its own phase, the solve stops on the
     square-lattice saddle.
     """
+    check_b(b)
     s = settings or SolverSettings()
     t0 = time.perf_counter()
     fld = init.copy()
     fld.u = fld.u.astype(np.complex128, copy=False)
     op = fld.operator()
-    evals0 = op.evaluations
     it, restarts, reason, gnorm = _ncg(fld.u, op, b, s, phase)
-    bd = energy(fld, b)
+    bd = _breakdown(op, fld.u, b)  # _ncg has checked that u is finite
     return MinimizationResult(
         field=fld,
         breakdown=bd,
@@ -275,7 +276,7 @@ def _solve(init: DiscreteField, b: float, settings: SolverSettings | None, init_
         wall_time=time.perf_counter() - t0,
         stop_reason=reason,
         restarts=restarts,
-        operator_evals=op.evaluations - evals0,
+        operator_evals=op.evaluations,
     )
 
 
@@ -319,25 +320,20 @@ def estimate_g(config: CellConfig, settings: SolverSettings | None = None,
         if (start.grid.n, start.grid.N) != (grid.n, grid.N):
             raise ConfigError(f"start field has n={start.grid.n}, N={start.grid.N}; "
                               f"the point has n={grid.n}, N={grid.N}")
-        # a fresh field, so that start never caches an operator; the solve
-        # copies it together with the operator this energy builds
-        warm = DiscreteField(u=start.u, grid=start.grid, wrap=start.wrap)
-        e_start = energy(warm, b).total
+        e_start = energy(start, b).total
     if e_start is not None and e_start < e_trial:
-        del init  # the trial state and its operator are not needed any more
-        res = _solve(warm, b, settings, "anchor", _unit_phase(start.u))
+        del init  # the trial state is not needed any more
+        res = _solve(start, b, settings, "anchor", _unit_phase(start.u))
     else:
-        warm = None  # free the start's operator before the cold solve
         res = minimize(init, b, settings, init_label="trial")
     g_est = res.density
     flags = ["likely not converged to ground state"] if g_est >= -1e-9 else []
     _, _, mpot = density_moments(res.field)
     zeta = (g_est + 0.5 + 0.5 * b * math.log(b)) / (b * math.log(b))
-    fld = res.field
     return GCurvePoint(
         b=b, N=config.N, R=grid.R, n=grid.n, g_est=g_est, g_trial=g_trial,
         potential_moment=mpot, zeta=zeta, iterations=res.iterations,
         stop_reason=res.stop_reason, restarts=res.restarts, flags=flags, start=res.init_label,
         wall_s=time.perf_counter() - t0,
-        solution=DiscreteField(u=fld.u, grid=fld.grid, wrap=fld.wrap),  # without its operator
+        solution=res.field,
     )

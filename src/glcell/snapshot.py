@@ -18,7 +18,6 @@ import datetime
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,35 +32,6 @@ class SnapshotError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SnapshotHeader:
-    version: int
-    R: float
-    n: int
-    b: float
-    N: int
-    alpha: float = 0.0
-    beta: float = 0.0
-    layout: str = LAYOUTS[0]
-    dtype: str = "f64le"
-    created: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "version": self.version,
-            "R": self.R,
-            "n": self.n,
-            "b": self.b,
-            "N": self.N,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "layout": self.layout,
-            "dtype": self.dtype,
-            "channels": ["re", "im"],
-            "created": self.created,
-        })
-
-
 def _payload(u: np.ndarray) -> np.ndarray:
     # i fastest: the C-order memory of u.T, made in one copy; complex128
     # memory is adjacent (re, im) float64 pairs, here little-endian on every host
@@ -71,13 +41,15 @@ def _payload(u: np.ndarray) -> np.ndarray:
 def write_snapshot(path, field: DiscreteField, b: float) -> None:
     """Write the field, its wrap twists and b."""
     g = field.grid
-    header = SnapshotHeader(
-        version=1, R=g.R, n=g.n, b=b, N=g.N, alpha=field.wrap.alpha, beta=field.wrap.beta,
-        created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    )
+    header = {
+        "version": 1, "R": g.R, "n": g.n, "b": b, "N": g.N,
+        "alpha": field.wrap.alpha, "beta": field.wrap.beta,
+        "layout": LAYOUTS[0], "dtype": "f64le", "channels": ["re", "im"],
+        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(header.to_json().encode("ascii"))
+        fh.write(json.dumps(header).encode("ascii"))
         fh.write(b"\n")
         fh.write(_payload(field.u))
 
@@ -91,7 +63,14 @@ def read_snapshot(path) -> tuple[DiscreteField, float]:
         if not head.endswith(b"\n"):
             raise SnapshotError("missing header terminator")
         meta = _read_header(head[len(MAGIC):-1])
-        n = meta["n"]
+        try:  # the cell is checked before its payload is allocated
+            config = CellConfig(b=meta["b"], N=meta["N"], n=meta["n"])
+        except ConfigError as exc:
+            raise SnapshotError(f"header {exc}") from None
+        if abs(meta["R"] - config.R) > 1e-12 * config.R:
+            raise SnapshotError(f"header R={meta['R']!r} does not match "
+                                f"sqrt(2 pi N)={config.R!r}")
+        n = config.n
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size == 16 * n * n:  # the payload, i fastest, is the C-order memory of u.T
             u_t = np.empty((n, n), dtype="<c16")
@@ -99,7 +78,7 @@ def read_snapshot(path) -> tuple[DiscreteField, float]:
         if size != 16 * n * n:
             raise SnapshotError(f"payload length mismatch: got {size}, want {16 * n * n}")
     u = np.ascontiguousarray(u_t.T, dtype=np.complex128)
-    grid = build_grid(CellConfig(b=meta["b"], N=meta["N"], n=n))
+    grid = build_grid(config)
     wrap = WrapRule(n=n, N=grid.N, alpha=meta["alpha"], beta=meta["beta"])
     return DiscreteField(u=u, grid=grid, wrap=wrap), meta["b"]
 

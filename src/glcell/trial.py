@@ -4,8 +4,8 @@ Construction: on the unit cell Q1 of area 2*pi, the periodic Green function
 h solves Delta h = 2*pi*delta_{a1} - 1 (so h = log|x - a1| + smooth near the
 pole).  The multivalued phase phi satisfies grad phi = perp-grad h + A0 and
 winds by +1 around every pole.  The modulus is the cutoff
-rho(x) = min(1, |x - a1|/core_radius); the default core_radius = 2*sqrt(b)
-keeps the O(b) remainder of the energy comfortably small.
+rho(x) = min(1, |x - a1|/(2 sqrt(b))), a core radius that keeps the O(b)
+remainder of the energy comfortably small.
 The state v = rho e^{i phi} lies in the (alpha, beta)-twisted
 magnetic-periodic space; build_trial returns its gauge image
 u = e^{-i(alpha x1 + beta x2)/R} v, which lies in the untwisted space with
@@ -15,8 +15,8 @@ Discretely the phase is built from a dual-lattice stream function whose
 five-point Laplacian carries the Dirac mass on a single plaquette, so every
 plaquette curl of the total connection is exactly 2*pi*(pole indicator) and
 the wrap mismatches are exactly constant along each edge (alpha, beta).
-The spectral CellGreen solve of the continuum problem is not needed for the
-state; it serves the ring checks of the Green function's log singularity.
+This lattice solve is the only Green function here: its ring checks (log
+slope, residual, Dirichlet energy) are in the tests.
 """
 
 from __future__ import annotations
@@ -35,52 +35,6 @@ CELL_SIDE = math.sqrt(TWO_PI)  # side of the unit cell Q1, |Q1| = 2*pi
 
 class TrialError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class CellGreen:
-    """Periodic Green function h on Q1: Delta h = 2*pi*delta - 1, mean zero."""
-
-    m: int                       # samples per side
-    hc: float                    # spacing CELL_SIDE / m
-    values: np.ndarray = field(repr=False)       # (m, m) h at sites
-    spectrum: np.ndarray = field(repr=False)     # (m, m) complex FFT coefficients
-    pole_index: tuple[int, int] = (0, 0)         # site index of a1 (cell center)
-
-    def coords(self) -> np.ndarray:
-        return -CELL_SIDE / 2 + self.hc * np.arange(self.m)
-
-
-def solve_cell_green(resolution: int) -> CellGreen:
-    """Spectral solution of Delta h = 2*pi*delta_{a1} - 1 on the periodic cell."""
-    m = resolution
-    if m < 32 or m % 2:
-        raise TrialError(f"resolution must be even and >= 32, got {m}")
-    hc = CELL_SIDE / m
-    # Dirac mass as a single site of weight 2*pi/hc^2: the RHS then has
-    # exactly zero total integral, 2*pi - |Q1| = 0.
-    rhs = -np.ones((m, m))
-    p = m // 2
-    rhs[p, p] += TWO_PI / hc**2
-    k = TWO_PI * np.fft.fftfreq(m, d=hc)
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    k2[0, 0] = 1.0
-    spec = np.fft.fft2(rhs) / (-k2)
-    spec[0, 0] = 0.0  # zero mode: mean(h) = 0
-    h = np.real(np.fft.ifft2(spec))
-    return CellGreen(m=m, hc=hc, values=h, spectrum=spec, pole_index=(p, p))
-
-
-def ring_log_slope(green: CellGreen, r_lo: float, r_hi: float) -> float:
-    """Least-squares slope of h against log|x - a1| on sites with r in [r_lo, r_hi]."""
-    y = green.coords()
-    r = np.hypot(y[:, None], y[None, :])
-    mask = (r >= r_lo) & (r <= r_hi)
-    logr = np.log(r[mask])
-    hv = green.values[mask]
-    A = np.stack([logr, np.ones_like(logr)], axis=1)
-    slope, _ = np.linalg.lstsq(A, hv, rcond=None)[0]
-    return float(slope)
 
 
 @dataclass(frozen=True)
@@ -178,14 +132,10 @@ def cutoff_profile(grid: Grid, N: int, core_radius: float) -> np.ndarray:
     return np.minimum(1.0, r / core_radius)
 
 
-def build_trial(
-    b: float, N: int, grid: Grid, core_radius: float | None = None
-) -> DiscreteField:
+def build_trial(b: float, N: int, grid: Grid) -> DiscreteField:
     """Gauged vortex-lattice trial state u in the untwisted magnetic-periodic space."""
-    if core_radius is None:
-        core_radius = 2.0 * math.sqrt(b)
     phase = build_phase(grid, N)
-    rho = cutoff_profile(grid, N, core_radius)
+    rho = cutoff_profile(grid, N, 2.0 * math.sqrt(b))
     v = rho * np.exp(1j * phase.phi)
     v[phase.pole_sites[:, 0], phase.pole_sites[:, 1]] = 0.0  # rho = 0 at the poles
     chi = -(phase.alpha * grid.x1[:, None] + phase.beta * grid.x2[None, :]) / grid.R
@@ -206,7 +156,6 @@ def trial_config(b: float, N: int, samples_per_core: int = 8, **kw) -> CellConfi
     k = int(round(math.sqrt(N)))
     if k * k != N:
         raise TrialError(f"trial requires square N, got N={N}")
-    R = math.sqrt(TWO_PI * N)
     m = int(math.ceil(CELL_SIDE * samples_per_core / math.sqrt(b)))
     m += m % 2
     m = max(m, 32)

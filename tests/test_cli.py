@@ -109,6 +109,23 @@ def test_missing_b_usage(capsys):
     assert "usage" in err.lower()
 
 
+@pytest.mark.parametrize("command", ["minimize", "trial", "sweep"])
+@pytest.mark.parametrize("content, message", [
+    ('{"N": 4}', "b is required"),
+    ("5", "must hold a JSON object, got int"),
+    ("[]", "must hold a JSON object, got list"),
+])
+def test_config_without_b_or_object_is_rejected(command, content, message, tmp_path, capsys):
+    # {"N": 4} used to die with a KeyError traceback, a 5 with a TypeError,
+    # and [] was taken as an empty config
+    cfg = tmp_path / "c.json"
+    cfg.write_text(content)
+    code, _, err = run([command, "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_vortices_on_trial_snapshot(tmp_path, capsys):
     out = tmp_path / "t"
     code, _, _ = run(["trial", "--b", "0.04", "--N", "4", "--out", str(out)], capsys)

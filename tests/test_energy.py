@@ -319,7 +319,7 @@ def test_replaced_wrap_never_reuses_connection():
     b = 0.5
     twisted = WrapRule(n=32, N=1, alpha=TWIST[0], beta=TWIST[1])
     f = make_field(seed=7)
-    energy(f, b)  # builds and caches the untwisted operator
+    energy(f, b)  # on the untwisted connection
     fresh = make_field(seed=7, twist=TWIST)
     expected = energy(fresh, b).total
     assert energy(dataclasses.replace(f, wrap=twisted), b).total == expected

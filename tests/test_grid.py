@@ -30,6 +30,13 @@ def test_config_validation():
         CellConfig(b=0.5, N=1, n=8)
 
 
+def test_config_accepts_every_N():
+    # R is computed from N; a check of R^2 against 2 pi N tested only its
+    # rounding and rejected N = 1305, like 95,686 of the N up to 200,000
+    cfg = CellConfig(b=0.5, N=1305, n=1100)
+    assert cfg.R == math.sqrt(TWO_PI * 1305) and cfg.h == cfg.R / 1100
+
+
 def test_grid_coords():
     g = build_grid(CellConfig(b=0.5, N=4, n=64))
     assert g.x1[0] == -g.R / 2

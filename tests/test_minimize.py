@@ -107,7 +107,7 @@ def test_warm_start_from_anchor():
     # conjugated by its phase to the cold answers in under half the cold iterations
     n = trial_config(0.2, N).n
     anchor = estimate_g(CellConfig(b=B, N=N, n=n))
-    assert anchor.start == "trial" and anchor.solution._operator is None
+    assert anchor.start == "trial"
     for b in (0.2, 0.3):
         cfg = CellConfig(b=b, N=N, n=n)
         cold = estimate_g(cfg)
@@ -119,7 +119,6 @@ def test_warm_start_from_anchor():
         # the minimizer comes back in the cell's own gauge
         area = warm.solution.grid.area
         assert energy(warm.solution, b).total / area == warm.g_est
-    assert anchor.solution._operator is None  # never cached on the start
     assert energy(anchor.solution, B).total / anchor.solution.grid.area == anchor.g_est
 
 
@@ -174,6 +173,24 @@ def test_solver_settings_reject_bools(bad):
     # numpy numbers are numbers
     settings = SolverSettings(max_iter=np.int64(7), grad_tol=np.float64(1e-6))
     assert (settings.max_iter, settings.grad_tol) == (7, 1e-6)
+
+
+@pytest.mark.parametrize("b", [2.0, 1.0, float("nan"), True])
+def test_b_is_checked_before_the_solve(b, monkeypatch):
+    # these ran NCG to the end (a nan reported "diverged") before the final
+    # energy raised; a True would have run as 1.0
+    def no_solve(*args):
+        raise AssertionError("the NCG loop ran")
+
+    monkeypatch.setattr(minimize_module, "_ncg", no_solve)
+    with pytest.raises(ConfigError, match="b "):
+        minimize(init_state("trial", CFG), b)
+
+
+def test_operator_evals_count_the_final_energy():
+    # the loop's D and D* applications plus the one D of the final breakdown
+    res = minimize(init_state("uniform", CFG), B, SolverSettings(max_iter=0))
+    assert res.iterations == 0 and res.operator_evals == 2 + 1
 
 
 def test_stop_reason_max_iter():

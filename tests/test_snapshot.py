@@ -185,3 +185,25 @@ def test_header_values_are_checked_not_converted(edit, message, tmp_path):
     with pytest.raises(SnapshotError) as info:
         read_snapshot(p)
     assert str(info.value) == message
+
+
+def test_header_cell_is_checked_before_the_payload(tmp_path):
+    # a negative n whose 16 n^2 matches the payload length used to reach numpy
+    # and raise its "negative dimensions" ValueError
+    p = tmp_path / "a.glc"
+    header = {"version": 1, "R": math.sqrt(2.0 * math.pi), "n": -2, "b": 0.5, "N": 1}
+    p.write_bytes(MAGIC + json.dumps(header).encode("ascii") + b"\n" + b"\x00" * 64)
+    with pytest.raises(SnapshotError, match="header n must be >= 16, got -2"):
+        read_snapshot(p)
+
+
+def test_header_R_must_match_N(tmp_path):
+    # R is sqrt(2 pi N): a header with another R used to read back silently
+    f, b = make_field()
+    p = tmp_path / "a.glc"
+    write_snapshot(p, f, b)
+    rewrite_header(p, lambda meta: meta.update(R=99.0))
+    with pytest.raises(SnapshotError, match=r"header R=99.0 does not match"):
+        read_snapshot(p)
+    rewrite_header(p, lambda meta: meta.update(R=f.grid.R * (1.0 + 1e-13)))
+    assert np.array_equal(read_snapshot(p)[0].u, f.u)

@@ -6,79 +6,69 @@ import pytest
 from glcell.energy import energy
 from glcell.grid import CellConfig, WrapRule, build_grid
 from glcell.trial import (
+    CELL_SIDE,
     TWO_PI,
-    CellGreen,
     TrialError,
+    _dual_stream_function,
     build_phase,
     build_trial,
     predicted_density,
-    ring_log_slope,
-    solve_cell_green,
     trial_config,
 )
 from glcell.vortices import cell_boundary_loop, winding
 
 
-# oracles of solve_cell_green, computed from its spectrum
+# checks of the cell Green function the trial state is built from: the
+# 5-point solve of Delta H = 2*pi*delta - 1 on the plaquette centers of Q1,
+# with the pole on plaquette (m/2, m/2)
+
+M = 256
+HC = CELL_SIDE / M
 
 
-def green_residual(green: CellGreen) -> float:
-    """Max-norm residual of the spectral equation Delta h = rhs."""
-    m, hc = green.m, green.hc
-    k = TWO_PI * np.fft.fftfreq(m, d=hc)
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    lap = np.real(np.fft.ifft2(-k2 * green.spectrum))
-    rhs = -np.ones((m, m))
-    rhs[green.pole_index] += TWO_PI / hc**2
+@pytest.fixture(scope="module")
+def green():
+    return _dual_stream_function(M, HC)
+
+
+def pole_offsets(shift: float = 0.0) -> np.ndarray:
+    """Coordinates of plaquette centers (or of points `shift` spacings past
+    them) along one axis, relative to the pole."""
+    return HC * (np.arange(M) - M // 2 + shift)
+
+
+def test_green_solver_residual(green):
+    lap = (np.roll(green, 1, 0) + np.roll(green, -1, 0) + np.roll(green, 1, 1)
+           + np.roll(green, -1, 1) - 4.0 * green) / HC**2
+    rhs = -np.ones((M, M))
+    rhs[M // 2, M // 2] += TWO_PI / HC**2
     rhs -= np.mean(rhs)  # the solve only sees the mean-zero part
-    return float(np.max(np.abs(lap - rhs)))
+    assert float(np.max(np.abs(lap - rhs))) < 1e-9
+    assert abs(float(np.mean(green))) < 1e-12
 
 
-def energy_ring_estimates(green: CellGreen, b: float) -> tuple[float, float]:
-    """(outer, inner) Dirichlet integrals of h split at radius sqrt(b).
-
-    outer = int_{Q1 \\ B(a1, sqrt(b))} |grad h|^2, which grows like
-    2*pi*|log sqrt(b)|; inner = (1/b) int_{B} |x - a1|^2 |grad h|^2 = O(1).
-    """
-    m, hc = green.m, green.hc
-    k = TWO_PI * np.fft.fftfreq(m, d=hc)
-    gx = np.real(np.fft.ifft2(1j * k[:, None] * green.spectrum))
-    gy = np.real(np.fft.ifft2(1j * k[None, :] * green.spectrum))
-    grad2 = gx**2 + gy**2
-    y = green.coords()
-    r2 = y[:, None] ** 2 + y[None, :] ** 2
-    core = r2 < b
-    outer = float(np.sum(grad2[~core]) * hc**2)
-    inner = float(np.sum((r2 * grad2)[core]) * hc**2 / b)
-    return outer, inner
-
-
-def test_green_solver_residual():
-    green = solve_cell_green(128)
-    assert green_residual(green) < 1e-9
-    assert abs(float(np.mean(green.values))) < 1e-12
-
-
-def test_green_log_singularity_slope():
-    # h = log|x - a1| + smooth: the radial log-slope near the pole is +1
-    green = solve_cell_green(256)
-    slope = ring_log_slope(green, 0.08, 0.35)
+def test_green_log_singularity_slope(green):
+    # H = log|x - a1| + smooth: the least-squares slope of H against log r
+    # on the ring 0.08 <= r <= 0.35 is +1
+    y = pole_offsets()
+    r = np.hypot(y[:, None], y[None, :])
+    ring = (r >= 0.08) & (r <= 0.35)
+    A = np.stack([np.log(r[ring]), np.ones(int(ring.sum()))], axis=1)
+    slope = np.linalg.lstsq(A, green[ring], rcond=None)[0][0]
     assert abs(slope - 1.0) < 0.1
 
 
-def test_green_resolution_validation():
-    with pytest.raises(TrialError):
-        solve_cell_green(31)
-    with pytest.raises(TrialError):
-        solve_cell_green(16)
-
-
-def test_ring_energy_growth():
-    # outer Dirichlet energy grows like 2*pi*|log sqrt(b)|; inner stays O(1)
-    green = solve_cell_green(256)
+def test_ring_energy_growth(green):
+    # the Dirichlet energy outside B(a1, sqrt(b)) grows like
+    # 2*pi*|log sqrt(b)|, and (1/b) int_B |x - a1|^2 |grad H|^2 stays O(1);
+    # grad H is the difference quotient on each dual link, at its midpoint
+    y, mid = pole_offsets(), pole_offsets(0.5)
+    gx, gy = ((np.roll(green, -1, axis) - green) / HC for axis in (0, 1))
+    links = [(gx, mid[:, None] ** 2 + y[None, :] ** 2), (gy, y[:, None] ** 2 + mid[None, :] ** 2)]
     prev = None
     for b in (0.2, 0.05, 0.0125):
-        outer, inner = energy_ring_estimates(green, b)
+        outer = sum(float(np.sum(g[r2 >= b] ** 2)) for g, r2 in links) * HC**2
+        inner = sum(float(np.sum((r2 * g**2)[r2 < b])) for g, r2 in links) * HC**2 / b
         expected = 2.0 * math.pi * abs(math.log(math.sqrt(b)))
         assert abs(outer - expected) < 0.25 * expected + 2.0
         assert inner < 10.0

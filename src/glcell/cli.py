@@ -46,7 +46,10 @@ def _load_config(args) -> dict:
     keys = _CONFIG_KEYS[args.command]
     cfg = {}
     if getattr(args, "config", None):
-        raw = json.loads(Path(args.config).read_text())
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object, "
                               f"got {type(raw).__name__}")
@@ -76,6 +79,16 @@ def _cell_config(cfg: dict) -> CellConfig:
     return CellConfig(b=b, N=N, n=n, seed=seed)
 
 
+def _out_dir(cfg: dict) -> Path:
+    """The output directory named by out, created if missing."""
+    out = cfg.get("out", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a string, got {out!r}")
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 def _solver_settings(cfg: dict) -> SolverSettings:
     default = SolverSettings()
     return SolverSettings(grad_tol=cfg.get("grad_tol", default.grad_tol),
@@ -90,8 +103,7 @@ def cmd_minimize(args) -> int:
     config = _cell_config(cfg)
     settings = _solver_settings(cfg)
     init = init_state(kind, config)  # an unknown kind fails before the output exists
-    outdir = Path(cfg.get("out", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(cfg)
     res = minimize(init, config.b, settings, init_label=kind)
     write_snapshot(outdir / "field.glc", res.field, config.b)
     _write_json(outdir / "result.json", {
@@ -110,6 +122,7 @@ def cmd_minimize(args) -> int:
         "stop_reason": res.stop_reason,
         "restarts": res.restarts,
         "operator_evals": res.operator_evals,
+        "coarse": res.coarse.record() if res.coarse else None,
     })
     return EXIT_OK if res.converged else EXIT_MAXITER
 
@@ -117,8 +130,7 @@ def cmd_minimize(args) -> int:
 def cmd_trial(args) -> int:
     cfg = _load_config(args)
     config = _cell_config(cfg)
-    outdir = Path(cfg.get("out", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(cfg)
     grid = build_grid(config)
     field = build_trial(config.b, config.N, grid)
     g_trial = energy(field, config.b).total / grid.area
@@ -143,8 +155,7 @@ def cmd_vortices(args) -> int:
     if not (math.isfinite(c_star) and c_star > 0.0):
         raise ConfigError(f"C_star must be finite and positive, got {c_star!r}")
     field, b = read_snapshot(args.snapshot)
-    outdir = Path(cfg.get("out", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(cfg)
     balls = find_balls(field, b)
     _write_json(outdir / "balls.json", [
         {"center": list(ball.center), "radius": ball.radius, "degree": ball.degree}
@@ -183,8 +194,7 @@ def cmd_sweep(args) -> int:
     settings = _solver_settings(cfg)
     for b in b_values:  # every value is checked before the output directory exists
         trial_config(b, N, samples_per_core=samples_per_core)
-    outdir = Path(cfg.get("out", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(cfg)
     report = run_sweep(b_values, N, settings=settings, samples_per_core=samples_per_core)
     (outdir / "sweep.csv").write_text(sweep_to_csv(report))
     (outdir / "sweep.json").write_text(sweep_to_json(report) + "\n")

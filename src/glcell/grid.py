@@ -105,6 +105,17 @@ def build_grid(config: CellConfig) -> Grid:
     return Grid(n=n, N=config.N, R=R, h=h, x1=x, x2=x.copy())
 
 
+def coarse_grid(grid: Grid) -> Grid:
+    """The grid of grid's even sites: n/2 per side, the same cell, spacing 2h.
+
+    Two fine links in a row carry the phase of the coarse link they span, so
+    the coarse cell is the same lattice gauge field at half the resolution.
+    It is no CellConfig's grid and skips the check h <= sqrt(b)/8.
+    """
+    return Grid(n=grid.n // 2, N=grid.N, R=grid.R, h=2.0 * grid.h,
+                x1=grid.x1[::2].copy(), x2=grid.x2[::2].copy())
+
+
 def link_phases(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """(theta_x, theta_y): line integrals of A0 along the +x and +y links.
 

@@ -14,13 +14,21 @@ solution of phase phi with P conjugated to phi P conj(phi) (a sweep's
 continuation step).  The energy is gauge covariant, so that solve takes the
 iterates of NCG on conj(phi) u over phi's gauge transform of the links,
 where P fits the covariant Laplacian near the start.
+
+A cold solve on an even grid is nested iteration from full multigrid
+(Brandt, Math. Comp. 31, 1977), one level deep: NCG first runs on the half
+grid from the start's even sites, where the long-wavelength modes of the
+vortex lattice relax at a quarter of the cost; its answer, prolonged along
+the fine links, then starts the fine solve as a warm start does, with P
+conjugated by its phase.  A half-grid solve that does not converge is
+abandoned, and the fine solve runs from the start as it would without it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +43,16 @@ from .energy import (
     line_quartic,
     redot,
 )
-from .grid import CellConfig, ConfigError, WrapRule, build_grid, check_b, check_number
+from .grid import (
+    CellConfig,
+    ConfigError,
+    WrapRule,
+    build_grid,
+    check_b,
+    check_number,
+    coarse_grid,
+    connection,
+)
 from .trial import build_trial
 
 SIGMA = 2.0  # potential shift of the preconditioner, in units of 2 h^2
@@ -63,6 +80,24 @@ class SolverSettings:
             raise ConfigError(f"grad_tol must be finite and non-negative, got {self.grad_tol!r}")
 
 
+@dataclass(frozen=True)
+class CoarseSolve:
+    """The half-grid solve that starts a cold minimize on an even grid.
+
+    stop_reason "converged" means its answer started the fine solve, and the
+    result's iterations, restarts and operator_evals include its own;
+    otherwise ("max_iter", "line_search_failed" or "diverged") it was
+    abandoned, and the fine solve ran from the init as without it.
+    """
+
+    n: int
+    iterations: int
+    stop_reason: str
+
+    def record(self) -> dict:
+        return asdict(self)
+
+
 @dataclass
 class MinimizationResult:
     field: DiscreteField
@@ -75,6 +110,7 @@ class MinimizationResult:
     stop_reason: str      # "converged", "max_iter" or "line_search_failed"
     restarts: int         # iterations after the first that stepped on -P grad
     operator_evals: int   # applications of D and its adjoint: the NCG loop's and the energy's
+    coarse: CoarseSolve | None = None  # the half-grid solve of a cold minimize, if one ran
 
     @property
     def density(self) -> float:
@@ -98,6 +134,7 @@ class GCurvePoint:
     iterations: int | None = None     # of the minimize run
     stop_reason: str | None = None    # of the same run
     restarts: int | None = None       # of the same run
+    coarse: CoarseSolve | None = None  # of the same run
     flags: list = field(default_factory=list)
     start: str = "trial"              # the init: "trial", or "anchor" for a warm start
     wall_s: float | None = None       # wall time of the whole point
@@ -252,16 +289,23 @@ def _ncg(u: np.ndarray, op: CellOperator, b: float, s: SolverSettings,
 
 def _solve(init: DiscreteField, b: float, settings: SolverSettings | None, init_label: str,
            phase: np.ndarray | None = None) -> MinimizationResult:
-    """NCG from a copy of init on its own operator, then the answer's compensated energy.
+    """NCG from a copy of init on its own operator (_solve_owned)."""
+    return _solve_owned(init.copy(), b, settings, init_label, phase)
 
-    A phase conjugates the preconditioner, which makes a warm start only:
-    from the trial state, with its own phase, the solve stops on the
-    square-lattice saddle.
+
+def _solve_owned(fld: DiscreteField, b: float, settings: SolverSettings | None,
+                 init_label: str, phase: np.ndarray | None = None) -> MinimizationResult:
+    """NCG on fld itself, which the caller hands over, then the answer's
+    compensated energy.
+
+    A phase conjugates the preconditioner, which makes a warm start only (a
+    sweep point from its anchor, the fine level of minimize's cascade from
+    the prolonged half-grid answer): from the trial state, with its own
+    phase, the solve stops on the square-lattice saddle.
     """
     check_b(b)
     s = settings or SolverSettings()
     t0 = time.perf_counter()
-    fld = init.copy()
     fld.u = fld.u.astype(np.complex128, copy=False)
     op = fld.operator()
     it, restarts, reason, gnorm = _ncg(fld.u, op, b, s, phase)
@@ -280,14 +324,70 @@ def _solve(init: DiscreteField, b: float, settings: SolverSettings | None, init_
     )
 
 
+def _prolong(coarse: np.ndarray, grid, wrap: WrapRule) -> np.ndarray:
+    """The field on grid, twice as fine as coarse, that coarse prolongs to.
+
+    Even sites keep the coarse values.  Each odd site takes the mean of its
+    two neighbours, each transported to it along the fine link between them
+    (seam links with their wrap factors): first the odd rows of the even
+    columns along axis 0, then the odd columns of every row along axis 1.
+    The temporaries are at most half the returned array.
+    """
+    x, x_seam, y, y_seam = connection(grid, wrap)
+    u = np.empty((grid.n, grid.n), np.complex128)
+    u[::2, ::2] = coarse
+    even = u[:, ::2]
+    for odd, behind, ahead, c, seam in ((even[1::2], even[::2], even[2::2], x[::2], x_seam[::2]),
+                                        (u[:, 1::2].T, u[:, ::2].T, u[:, 2::2].T, y, y_seam)):
+        # odd site k sits between behind[k] and ahead[k], the last one across the seam
+        np.multiply(behind, np.conjugate(c), out=odd)
+        odd[:-1] += ahead * c
+        odd[-1] += behind[0] * seam
+        odd *= 0.5
+    return u
+
+
 def minimize(
     init: DiscreteField, b: float, settings: SolverSettings | None = None,
     init_label: str = "custom",
 ) -> MinimizationResult:
     """Minimize from init with the plain preconditioner.  A start on an exact
     critical point, such as u = 0 where the gradient vanishes, comes back
-    converged after 0 iterations (estimate_g flags g >= -1e-9)."""
-    return _solve(init, b, settings, init_label)
+    converged after 0 iterations (estimate_g flags g >= -1e-9).
+
+    On an even grid the solve starts with the half-grid cascade of the module
+    docstring, and the result's `coarse` records the half-grid run.  When it
+    converged, the fine solve runs from its prolonged answer with P
+    conjugated by that answer's phase, and iterations, restarts,
+    operator_evals and wall_time cover both levels; otherwise the fine solve
+    and its counters are those of the direct solve from init, and wall_time
+    includes the abandoned run.  An odd n, or a non-finite init, solves
+    directly.
+    """
+    check_b(b)
+    s = settings or SolverSettings()
+    if init.grid.n % 2 or not np.isfinite(init.u).all():
+        return _solve(init, b, s, init_label)
+    t0 = time.perf_counter()
+    grid = coarse_grid(init.grid)
+    u = init.u[::2, ::2].astype(np.complex128)
+    op = CellOperator(grid, replace(init.wrap, n=grid.n))
+    try:
+        it, restarts, reason, _ = _ncg(u, op, b, s)
+    except MinimizationError as exc:
+        it, reason = exc.diagnostics["iteration"], "diverged"
+    if reason == "converged":
+        start = DiscreteField(u=_prolong(u, init.grid, init.wrap), grid=init.grid, wrap=init.wrap)
+        del u  # beside a direct solve's arrays, the fine solve holds only the phase
+        res = _solve_owned(start, b, s, init_label, _unit_phase(start.u))
+        res.iterations += it
+        res.restarts += restarts
+        res.operator_evals += op.evaluations
+    else:
+        res = _solve(init, b, s, init_label)
+    res.coarse = CoarseSolve(grid.n, it, reason)
+    res.wall_time = time.perf_counter() - t0
+    return res
 
 
 def _unit_phase(u: np.ndarray) -> np.ndarray:
@@ -333,7 +433,8 @@ def estimate_g(config: CellConfig, settings: SolverSettings | None = None,
     return GCurvePoint(
         b=b, N=config.N, R=grid.R, n=grid.n, g_est=g_est, g_trial=g_trial,
         potential_moment=mpot, zeta=zeta, iterations=res.iterations,
-        stop_reason=res.stop_reason, restarts=res.restarts, flags=flags, start=res.init_label,
+        stop_reason=res.stop_reason, restarts=res.restarts, coarse=res.coarse, flags=flags,
+        start=res.init_label,
         wall_s=time.perf_counter() - t0,
         solution=res.field,
     )

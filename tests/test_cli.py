@@ -352,3 +352,64 @@ def test_readme_flag_table_matches_parser():
         accepted[command] |= {o for a in sub._actions for o in a.option_strings
                               if o not in ("-h", "--help")}
     assert documented == accepted
+
+
+def test_minimize_records_the_coarse_solve(tmp_path, capsys):
+    # the half-grid solve that started the run, and an abandoned one
+    argv = ["minimize", "--b", "0.25", "--N", "1", "--n", "48", "--init", "trial"]
+    code, _, _ = run(argv + ["--out", str(tmp_path / "a")], capsys)
+    assert code == EXIT_OK
+    result = json.loads((tmp_path / "a" / "result.json").read_text())
+    coarse = result["coarse"]
+    assert set(coarse) == {"n", "iterations", "stop_reason"}
+    assert coarse["n"] == 24 and coarse["stop_reason"] == "converged"
+    assert 0 < coarse["iterations"] < result["iterations"]
+    code, _, _ = run(argv + ["--max-iter", "3", "--out", str(tmp_path / "b")], capsys)
+    assert code == EXIT_MAXITER
+    result = json.loads((tmp_path / "b" / "result.json").read_text())
+    assert result["coarse"] == {"n": 24, "iterations": 3, "stop_reason": "max_iter"}
+    assert result["iterations"] == 3
+
+
+def test_sweep_json_records_the_coarse_solve(tmp_path, capsys):
+    code, _, _ = run(["sweep", "--b", "0.2,0.25,0.3", "--N", "1", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    points = json.loads((tmp_path / "sweep.json").read_text())["points"]
+    anchor = points[1]
+    assert anchor["start"] == "trial"
+    assert anchor["coarse"]["n"] == anchor["n"] // 2
+    assert anchor["coarse"]["stop_reason"] == "converged"
+    assert [p["coarse"] for p in points[::2]] == [None, None]  # the warm points
+
+
+@pytest.mark.parametrize("command", ["minimize", "trial", "vortices", "sweep"])
+@pytest.mark.parametrize("out", [5, None, ["o"]])
+def test_config_out_must_be_a_string(command, out, tmp_path, capsys, monkeypatch):
+    # an out of 5 used to crash every command with a TypeError traceback
+    cfg = {"out": out} if command == "vortices" else {"b": 0.25, "N": 1, "out": out}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(path)]
+    if command == "vortices":
+        run(["trial", "--b", "0.25", "--N", "1", "--n", "48", "--out", str(tmp_path / "t")],
+            capsys)
+        argv.insert(1, str(tmp_path / "t" / "field.glc"))
+    monkeypatch.chdir(tmp_path)
+    before = set(tmp_path.iterdir())
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_ERROR
+    assert f"error: out must be a string, got {out!r}" in err
+    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["minimize", "trial", "vortices", "sweep"])
+def test_config_invalid_json_names_the_file(command, tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text('{"b": 0.25,\n')
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+    if command == "vortices":
+        argv.insert(1, str(tmp_path / "field.glc"))
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_ERROR
+    assert err.startswith(f"error: config file {path} is not valid JSON: Expecting property name")
+    assert not (tmp_path / "o").exists()

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 import glcell.minimize as minimize_module
-from glcell.energy import DiscreteField, energy, gradient, redot
-from glcell.grid import CellConfig, ConfigError, build_grid
+from glcell.energy import CellOperator, DiscreteField, energy, gradient, redot
+from glcell.grid import CellConfig, ConfigError, WrapRule, build_grid, coarse_grid
 from glcell.minimize import (
+    CoarseSolve,
     MinimizationError,
     SolverSettings,
     _kinetic_preconditioner,
     _ncg,
     _precondition,
+    _prolong,
+    _solve,
     _unit_phase,
     estimate_g,
     init_state,
@@ -298,3 +301,133 @@ def test_magnetic_translation_minimize(magnetic_translate):
         res = minimize(magnetic_translate(init, *shift), B4, s)
         assert res.stop_reason == "converged"
         assert abs(res.breakdown.total - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("N, n, twists", [(1, 48, (0.0, 0.0)), (4, 84, (0.3, -1.1))])
+def test_prolong_matches_rolled_reference(N, n, twists, reference_operator):
+    # the odd sites of the fine field are means of their two neighbours,
+    # transported along the full (n, n) link arrays, seam rows and columns
+    # included: first the odd rows of the even columns, then the odd columns
+    grid = build_grid(CellConfig(b=0.25, N=N, n=n))
+    wrap = WrapRule(n=n, N=N, alpha=twists[0], beta=twists[1])
+    rng = np.random.default_rng(n)
+    coarse = rng.standard_normal((n // 2, n // 2)) + 1j * rng.standard_normal((n // 2, n // 2))
+    fine = _prolong(coarse, grid, wrap)
+
+    op = reference_operator(grid, wrap)
+    want = np.zeros((n, n), np.complex128)
+    want[::2, ::2] = coarse
+    mean = 0.5 * (np.roll(np.conj(op.cx) * want, 1, axis=0) + op.cx * np.roll(want, -1, axis=0))
+    want[1::2, ::2] = mean[1::2, ::2]
+    mean = 0.5 * (np.roll(np.conj(op.cy) * want, 1, axis=1) + op.cy * np.roll(want, -1, axis=1))
+    want[:, 1::2] = mean[:, 1::2]
+    assert np.array_equal(fine[::2, ::2], coarse)
+    assert np.max(np.abs(fine - want)) <= 1e-14 * np.max(np.abs(want))
+    # the seams: the last odd row and column take a neighbour across the wrap
+    assert np.max(np.abs(fine[-1] - want[-1])) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(fine[:, -1] - want[:, -1])) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_coarse_grid_is_the_even_sites():
+    grid = build_grid(CFG4)
+    coarse = coarse_grid(grid)
+    assert (coarse.n, coarse.N, coarse.R, coarse.h) == (grid.n // 2, grid.N, grid.R, 2 * grid.h)
+    assert np.array_equal(coarse.x1, grid.x1[::2]) and np.array_equal(coarse.x2, grid.x2[::2])
+    # two fine links in a row carry the coarse link's factor, seams included
+    fine_op = CellOperator(grid, WrapRule(n=grid.n, N=grid.N))
+    coarse_op = CellOperator(coarse, WrapRule(n=coarse.n, N=coarse.N))
+    (x, x_seam), (y, y_seam) = fine_op.links
+    (cx, cx_seam), (cy, cy_seam) = coarse_op.links
+    assert np.max(np.abs(x[::2] ** 2 - cx)) <= 1e-14
+    assert np.max(np.abs(x[::2] * x_seam[::2] - cx_seam)) <= 1e-14
+    assert np.max(np.abs(y[::2] ** 2 - cy)) <= 1e-14
+    assert np.max(np.abs(y[::2] * y_seam[::2] - cy_seam)) <= 1e-14
+
+
+@pytest.mark.parametrize("b, N, n", [(0.25, 1, 48), (0.25, 4, 84)])
+def test_cascade_reaches_the_direct_critical_point(b, N, n):
+    init = init_state("trial", CellConfig(b=b, N=N, n=n))
+    res = minimize(init, b, SolverSettings(), "trial")
+    direct = _solve(init, b, SolverSettings(), "trial")
+    assert res.coarse == CoarseSolve(n=n // 2, iterations=res.coarse.iterations,
+                                     stop_reason="converged")
+    assert res.stop_reason == direct.stop_reason == "converged" and res.converged
+    assert abs(res.breakdown.total - direct.breakdown.total) <= 1e-9 * abs(direct.breakdown.total)
+    assert res.iterations < direct.iterations
+    assert direct.coarse is None
+
+
+def test_cascade_counters_sum_both_levels():
+    # replay the two levels by hand: the half-grid NCG from the even sites,
+    # then the fine solve from its prolonged answer with P conjugated by its phase
+    b, cfg, s = B4, CFG4, SolverSettings()
+    init = init_state("trial", cfg)
+    res = minimize(init, b, s, "trial")
+    grid = coarse_grid(init.grid)
+    u = init.u[::2, ::2].copy()
+    op = CellOperator(grid, WrapRule(n=grid.n, N=grid.N))
+    it, restarts, reason, _ = _ncg(u, op, b, s)
+    assert reason == "converged" and res.coarse == CoarseSolve(grid.n, it, reason)
+    start = DiscreteField(u=_prolong(u, init.grid, init.wrap), grid=init.grid, wrap=init.wrap)
+    fine = _solve(start, b, s, "trial", _unit_phase(start.u))
+    assert np.array_equal(res.field.u, fine.field.u)
+    assert res.iterations == it + fine.iterations
+    assert res.restarts == restarts + fine.restarts
+    assert res.operator_evals == op.evaluations + fine.operator_evals
+    assert (res.stop_reason, res.grad_norm, res.breakdown) == (
+        fine.stop_reason, fine.grad_norm, fine.breakdown)
+    assert res.wall_time > 0.0
+
+
+@pytest.mark.parametrize("settings, reason", [(SolverSettings(max_iter=5), "max_iter"),
+                                              (SolverSettings(max_iter=0), "max_iter"),
+                                              (SolverSettings(grad_tol=0.0, max_iter=40), "max_iter")])
+def test_unconverged_coarse_solve_falls_back_bit_for_bit(settings, reason):
+    # the abandoned half-grid attempt is recorded, and the fine solve, its
+    # field and its counters are those of the direct solve from init
+    init = init_state("trial", CFG)
+    res = minimize(init, B, settings, "trial")
+    direct = _solve(init, B, settings, "trial")
+    assert res.coarse.n == CFG.n // 2 and res.coarse.stop_reason == reason
+    assert res.coarse.iterations == settings.max_iter
+    assert np.array_equal(res.field.u, direct.field.u)
+    assert (res.iterations, res.restarts, res.operator_evals, res.stop_reason, res.grad_norm) == (
+        direct.iterations, direct.restarts, direct.operator_evals, direct.stop_reason,
+        direct.grad_norm)
+
+
+@pytest.mark.parametrize("huge", [True, False])
+def test_bad_start_raises_as_the_direct_solve(huge):
+    # a huge field diverges on the half grid too, and the fine solve from
+    # init then raises what a direct solve raises; a nan on an odd site,
+    # which the half grid does not see, goes straight to the direct solve
+    init = init_state("uniform", CFG)
+    if huge:
+        init.u *= 1e40
+    else:
+        init.u[1, 1] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(MinimizationError) as direct:
+        _solve(init, B, None, "custom")
+    with np.errstate(all="ignore"), pytest.raises(MinimizationError) as cascaded:
+        minimize(init, B)
+    assert str(cascaded.value) == str(direct.value)
+    assert repr(cascaded.value.diagnostics) == repr(direct.value.diagnostics)  # nan != nan
+
+
+def test_odd_grid_solves_directly():
+    init = init_state("random", CellConfig(b=B, N=N, n=49, seed=2))
+    s = SolverSettings(max_iter=200)
+    res = minimize(init, B, s)
+    direct = _solve(init, B, s, "custom")
+    assert res.coarse is None
+    assert np.array_equal(res.field.u, direct.field.u)
+    assert (res.iterations, res.operator_evals) == (direct.iterations, direct.operator_evals)
+
+
+def test_estimate_g_reports_the_coarse_solve():
+    point = estimate_g(CFG)
+    assert point.start == "trial" and point.coarse.n == CFG.n // 2
+    assert point.coarse.stop_reason == "converged"
+    assert point.iterations > point.coarse.iterations
+    warm = estimate_g(CellConfig(b=0.3, N=N, n=CFG.n), start=point.solution)
+    assert warm.start == "anchor" and warm.coarse is None

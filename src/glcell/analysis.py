@@ -149,9 +149,10 @@ def run_sweep(
     discretization systematics largely cancel in the secant slopes.  The
     middle b (index (len - 1) // 2 in increasing order) is the anchor,
     solved cold from the trial state.  Every other point starts from the
-    anchor's solution when that lies below its own trial state, with the
-    preconditioner conjugated by the anchor's phase (estimate_g), which is
-    continuation with a fixed topology: no point depends on another warm
+    anchor's solution when that lies below its own trial state, through the
+    half-grid cascade with the preconditioner conjugated by the phase of the
+    anchor's even sites and then of the prolonged answer (estimate_g), which
+    is continuation with a fixed topology: no point depends on another warm
     point.  The report's points keep no `solution`.
     """
     if not b_values:
@@ -206,7 +207,7 @@ def sweep_to_csv(report: SweepReport) -> str:
 
 def sweep_to_json(report: SweepReport) -> str:
     """The CSV rows plus, per point, its init, restart count, half-grid solve
-    (null for a warm point) and wall time, which sweep.csv leaves out (its
+    (null on an odd grid) and wall time, which sweep.csv leaves out (its
     columns stay fixed, and it does not depend on timing)."""
     payload = {
         "points": [dict(row, start=p.start, restarts=p.restarts,

@@ -15,13 +15,15 @@ continuation step).  The energy is gauge covariant, so that solve takes the
 iterates of NCG on conj(phi) u over phi's gauge transform of the links,
 where P fits the covariant Laplacian near the start.
 
-A cold solve on an even grid is nested iteration from full multigrid
-(Brandt, Math. Comp. 31, 1977), one level deep: NCG first runs on the half
-grid from the start's even sites, where the long-wavelength modes of the
-vortex lattice relax at a quarter of the cost; its answer, prolonged along
-the fine links, then starts the fine solve as a warm start does, with P
-conjugated by its phase.  A half-grid solve that does not converge is
-abandoned, and the fine solve runs from the start as it would without it.
+Every solve on an even grid, cold or warm, is nested iteration from full
+multigrid (Brandt, Math. Comp. 31, 1977), one level deep: NCG first runs on
+the half grid from the start's even sites, where the long-wavelength modes
+of the vortex lattice relax at a quarter of the cost; its answer, prolonged
+along the fine links, then starts the fine solve with P conjugated by its
+phase.  On the half grid a warm solve conjugates P by the phase of its
+start's even sites, and a cold one keeps plain P.  A half-grid solve that
+does not converge is abandoned, and the fine solve runs from the start as it
+would without it.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class CoarseSolve:
-    """The half-grid solve that starts a cold minimize on an even grid.
+    """The half-grid solve that starts every solve on an even grid, a cold
+    minimize or a warm sweep point.
 
     stop_reason "converged" means its answer started the fine solve, and the
     result's iterations, restarts and operator_evals include its own;
@@ -110,7 +113,7 @@ class MinimizationResult:
     stop_reason: str      # "converged", "max_iter" or "line_search_failed"
     restarts: int         # iterations after the first that stepped on -P grad
     operator_evals: int   # applications of D and its adjoint: the NCG loop's and the energy's
-    coarse: CoarseSolve | None = None  # the half-grid solve of a cold minimize, if one ran
+    coarse: CoarseSolve | None = None  # the half-grid solve, on an even grid with a finite start
 
     @property
     def density(self) -> float:
@@ -134,7 +137,7 @@ class GCurvePoint:
     iterations: int | None = None     # of the minimize run
     stop_reason: str | None = None    # of the same run
     restarts: int | None = None       # of the same run
-    coarse: CoarseSolve | None = None  # of the same run
+    coarse: CoarseSolve | None = None  # of the same run, cold or warm
     flags: list = field(default_factory=list)
     start: str = "trial"              # the init: "trial", or "anchor" for a warm start
     wall_s: float | None = None       # wall time of the whole point
@@ -299,8 +302,8 @@ def _solve_owned(fld: DiscreteField, b: float, settings: SolverSettings | None,
     compensated energy.
 
     A phase conjugates the preconditioner, which makes a warm start only (a
-    sweep point from its anchor, the fine level of minimize's cascade from
-    the prolonged half-grid answer): from the trial state, with its own
+    sweep point's direct solve from its anchor, the fine level of a cascade
+    from the prolonged half-grid answer): from the trial state, with its own
     phase, the solve stops on the square-lattice saddle.
     """
     check_b(b)
@@ -364,16 +367,30 @@ def minimize(
     includes the abandoned run.  An odd n, or a non-finite init, solves
     directly.
     """
+    return _cascade(init, b, settings, init_label, warm=False)
+
+
+def _cascade(init: DiscreteField, b: float, settings: SolverSettings | None,
+             init_label: str, warm: bool) -> MinimizationResult:
+    """minimize's solve; warm (a sweep point from its anchor) also conjugates
+    P on the half grid, by the phase of init's even sites, and in a direct
+    solve, by init's phase.  A cold half grid keeps plain P: from the square
+    trial state a conjugated one stops on the saddle.
+    """
     check_b(b)
     s = settings or SolverSettings()
+
+    def phase(u):
+        return _unit_phase(u) if warm else None
+
     if init.grid.n % 2 or not np.isfinite(init.u).all():
-        return _solve(init, b, s, init_label)
+        return _solve(init, b, s, init_label, phase(init.u))
     t0 = time.perf_counter()
     grid = coarse_grid(init.grid)
     u = init.u[::2, ::2].astype(np.complex128)
     op = CellOperator(grid, replace(init.wrap, n=grid.n))
     try:
-        it, restarts, reason, _ = _ncg(u, op, b, s)
+        it, restarts, reason, _ = _ncg(u, op, b, s, phase(u))
     except MinimizationError as exc:
         it, reason = exc.diagnostics["iteration"], "diverged"
     if reason == "converged":
@@ -384,7 +401,7 @@ def minimize(
         res.restarts += restarts
         res.operator_evals += op.evaluations
     else:
-        res = _solve(init, b, s, init_label)
+        res = _solve(init, b, s, init_label, phase(init.u))
     res.coarse = CoarseSolve(grid.n, it, reason)
     res.wall_time = time.perf_counter() - t0
     return res
@@ -403,11 +420,15 @@ def estimate_g(config: CellConfig, settings: SolverSettings | None = None,
 
     start, a field on the config's grid (a sweep's anchor solution), is used
     whenever its energy at b lies below the trial state's; the solve then
-    conjugates the preconditioner by phi = start.u/|start.u|.  Otherwise, and
-    without start, the point is the cold solve from the trial state.  g_trial
-    is the energy density of the trial state, an upper bound on g.  The point
-    keeps its minimizer as `solution` and the wall time of the whole point as
-    `wall_s`.  A MinimizationError reaches the caller with its diagnostics.
+    runs minimize's cascade with the preconditioner conjugated on the half
+    grid by the phase of start.u[::2, ::2], and, if the half grid is
+    abandoned, as one direct solve conjugated by phi = start.u/|start.u|.
+    start itself is not changed.  Otherwise, and without start, the point is
+    the cold solve from the trial state.  `coarse` records the half-grid run
+    either way.  g_trial is the energy density of the trial state, an upper
+    bound on g.  The point keeps its minimizer as `solution` and the wall
+    time of the whole point as `wall_s`.  A MinimizationError reaches the
+    caller with its diagnostics.
     """
     t0 = time.perf_counter()
     b = config.b
@@ -423,7 +444,7 @@ def estimate_g(config: CellConfig, settings: SolverSettings | None = None,
         e_start = energy(start, b).total
     if e_start is not None and e_start < e_trial:
         del init  # the trial state is not needed any more
-        res = _solve(start, b, settings, "anchor", _unit_phase(start.u))
+        res = _cascade(start, b, settings, "anchor", warm=True)
     else:
         res = minimize(init, b, settings, init_label="trial")
     g_est = res.density

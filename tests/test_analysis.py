@@ -119,16 +119,16 @@ def test_sweep_point_error_keeps_diagnostics(monkeypatch):
         anchors.append(args[1])
         return cold(*args, **kwargs)
 
-    solve = glcell.minimize._solve
+    cascade = glcell.minimize._cascade
 
-    def diverge(init, b, settings, init_label, phase=None):
-        if phase is None:  # the cold solve, inside minimize
-            return solve(init, b, settings, init_label, phase)
+    def diverge(init, b, settings, init_label, warm):
+        if not warm:  # the cold solve, inside minimize
+            return cascade(init, b, settings, init_label, warm)
         raise MinimizationError("minimization diverged: warm",
                                 {"stop_reason": "diverged", "iteration": 3})
 
     monkeypatch.setattr(glcell.minimize, "minimize", count_cold)
-    monkeypatch.setattr(glcell.minimize, "_solve", diverge)
+    monkeypatch.setattr(glcell.minimize, "_cascade", diverge)
     with pytest.raises(MinimizationError, match="diverged: warm") as info:
         run_sweep([0.2, 0.25, 0.3], 1)
     assert anchors == [0.25]

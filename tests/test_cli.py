@@ -375,11 +375,11 @@ def test_sweep_json_records_the_coarse_solve(tmp_path, capsys):
     code, _, _ = run(["sweep", "--b", "0.2,0.25,0.3", "--N", "1", "--out", str(tmp_path)], capsys)
     assert code == EXIT_OK
     points = json.loads((tmp_path / "sweep.json").read_text())["points"]
-    anchor = points[1]
-    assert anchor["start"] == "trial"
-    assert anchor["coarse"]["n"] == anchor["n"] // 2
-    assert anchor["coarse"]["stop_reason"] == "converged"
-    assert [p["coarse"] for p in points[::2]] == [None, None]  # the warm points
+    assert [p["start"] for p in points] == ["anchor", "trial", "anchor"]
+    for point in points:  # the anchor and the warm points alike
+        assert point["coarse"]["n"] == point["n"] // 2
+        assert point["coarse"]["stop_reason"] == "converged"
+        assert 0 < point["coarse"]["iterations"] < point["iterations"]
 
 
 @pytest.mark.parametrize("command", ["minimize", "trial", "vortices", "sweep"])

@@ -430,4 +430,56 @@ def test_estimate_g_reports_the_coarse_solve():
     assert point.coarse.stop_reason == "converged"
     assert point.iterations > point.coarse.iterations
     warm = estimate_g(CellConfig(b=0.3, N=N, n=CFG.n), start=point.solution)
-    assert warm.start == "anchor" and warm.coarse is None
+    assert warm.start == "anchor" and warm.coarse.n == CFG.n // 2
+    assert warm.coarse.stop_reason == "converged"
+    assert warm.iterations > warm.coarse.iterations
+
+
+@pytest.fixture(scope="module")
+def anchor4():
+    # the b = 0.3 minimizer on the grid of the b = 0.25, N = 4 point
+    return estimate_g(CellConfig(b=0.3, N=4, n=CFG4.n)).solution
+
+
+def test_warm_cascade_reaches_the_direct_warm_critical_point(anchor4):
+    before = anchor4.u.copy()
+    point = estimate_g(CFG4, start=anchor4)
+    direct = _solve(anchor4, B4, SolverSettings(), "anchor", _unit_phase(anchor4.u))
+    assert point.start == "anchor" and point.stop_reason == direct.stop_reason == "converged"
+    assert abs(point.g_est - direct.density) <= 1e-9 * abs(direct.density)
+    assert np.array_equal(anchor4.u, before)  # the sweep hands the anchor to every point
+
+
+def test_warm_cascade_counters_sum_both_levels(anchor4):
+    # replay the two levels by hand: the half-grid NCG from the start's even
+    # sites with P conjugated by their phase, then the fine solve from its
+    # prolonged answer with P conjugated by that answer's phase
+    s = SolverSettings()
+    point = estimate_g(CFG4, s, start=anchor4)
+    grid = coarse_grid(anchor4.grid)
+    u = anchor4.u[::2, ::2].copy()
+    op = CellOperator(grid, WrapRule(n=grid.n, N=grid.N))
+    it, restarts, reason, _ = _ncg(u, op, B4, s, _unit_phase(u))
+    assert reason == "converged" and point.coarse == CoarseSolve(grid.n, it, reason)
+    start = DiscreteField(u=_prolong(u, anchor4.grid, anchor4.wrap), grid=anchor4.grid,
+                          wrap=anchor4.wrap)
+    fine = _solve(start, B4, s, "anchor", _unit_phase(start.u))
+    assert np.array_equal(point.solution.u, fine.field.u)
+    assert point.iterations == it + fine.iterations
+    assert point.restarts == restarts + fine.restarts
+    assert point.stop_reason == fine.stop_reason == "converged"
+
+
+@pytest.mark.parametrize("settings", [SolverSettings(max_iter=5),
+                                      SolverSettings(grad_tol=0.0, max_iter=40)])
+def test_unconverged_warm_half_grid_falls_back_bit_for_bit(anchor4, settings):
+    # the abandoned half-grid attempt is recorded, and the point is the
+    # direct warm solve from the anchor, P conjugated by the anchor's phase
+    point = estimate_g(CFG4, settings, start=anchor4)
+    direct = _solve(anchor4, B4, settings, "anchor", _unit_phase(anchor4.u))
+    assert point.start == "anchor"
+    assert point.coarse == CoarseSolve(CFG4.n // 2, settings.max_iter, "max_iter")
+    assert np.array_equal(point.solution.u, direct.field.u)
+    assert point.g_est == direct.density
+    assert (point.iterations, point.restarts, point.stop_reason) == (
+        direct.iterations, direct.restarts, direct.stop_reason)

@@ -15,7 +15,7 @@ from glcell.vortices import classify_squares, find_balls
 b, N = 0.05, 16
 
 cfg = trial_config(b, N)
-res = minimize(init_state("trial", cfg), b, SolverSettings(), init_label="trial")
+res = minimize(init_state("trial", cfg), b, SolverSettings())
 print(f"converged = {res.converged} after {res.iterations} iterations")
 print(f"G = {res.breakdown.total:.5f}  (g = {res.density:.5f})")
 

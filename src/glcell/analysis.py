@@ -137,6 +137,17 @@ def build_sweep(points: list[GCurvePoint]) -> SweepReport:
     return rep
 
 
+def sweep_configs(b_values: list[float], N: int, samples_per_core: int = 8) -> list[CellConfig]:
+    """The sweep's cells in increasing b, all on the grid of the smallest b,
+    the finest, after every b is checked and a repeated b rejected."""
+    if not b_values:
+        raise AnalysisError("sweep needs at least one b value")
+    n = max(trial_config(b, N, samples_per_core=samples_per_core).n for b in b_values)
+    if len(set(b_values)) < len(b_values):
+        raise AnalysisError(f"sweep b values must not repeat, got {b_values}")
+    return [CellConfig(b=b, N=N, n=n) for b in sorted(b_values)]
+
+
 def run_sweep(
     b_values: list[float],
     N: int,
@@ -155,10 +166,7 @@ def run_sweep(
     is continuation with a fixed topology: no point depends on another warm
     point.  The report's points keep no `solution`.
     """
-    if not b_values:
-        raise AnalysisError("sweep needs at least one b value")
-    n = trial_config(min(b_values), N, samples_per_core=samples_per_core).n
-    configs = [CellConfig(b=b, N=N, n=n) for b in sorted(b_values)]
+    configs = sweep_configs(b_values, N, samples_per_core)
     mid = (len(configs) - 1) // 2
     anchor = estimate_g(configs[mid], settings)
     start, points = anchor.solution, []

@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import run_sweep, sweep_to_csv, sweep_to_json
+from .analysis import run_sweep, sweep_configs, sweep_to_csv, sweep_to_json
 from .energy import DiscreteField, energy
 from .grid import CellConfig, ConfigError, build_grid, check_number
 from .minimize import MinimizationError, SolverSettings, init_state, minimize
@@ -104,11 +104,11 @@ def cmd_minimize(args) -> int:
     settings = _solver_settings(cfg)
     init = init_state(kind, config)  # an unknown kind fails before the output exists
     outdir = _out_dir(cfg)
-    res = minimize(init, config.b, settings, init_label=kind)
+    res = minimize(init, config.b, settings)
     write_snapshot(outdir / "field.glc", res.field, config.b)
     _write_json(outdir / "result.json", {
         "b": config.b, "N": config.N, "n": config.n, "seed": config.seed,
-        "init": res.init_label,
+        "init": kind,
         "energy": {
             "kinetic": res.breakdown.kinetic,
             "potential": res.breakdown.potential,
@@ -192,8 +192,7 @@ def cmd_sweep(args) -> int:
         b_values = [b_values]
     N, samples_per_core = cfg.get("N", 1), cfg.get("samples_per_core", 8)
     settings = _solver_settings(cfg)
-    for b in b_values:  # every value is checked before the output directory exists
-        trial_config(b, N, samples_per_core=samples_per_core)
+    sweep_configs(b_values, N, samples_per_core)  # checked before the output directory exists
     outdir = _out_dir(cfg)
     report = run_sweep(b_values, N, settings=settings, samples_per_core=samples_per_core)
     (outdir / "sweep.csv").write_text(sweep_to_csv(report))

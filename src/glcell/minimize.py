@@ -21,9 +21,9 @@ the half grid from the start's even sites, where the long-wavelength modes
 of the vortex lattice relax at a quarter of the cost; its answer, prolonged
 along the fine links, then starts the fine solve with P conjugated by its
 phase.  On the half grid a warm solve conjugates P by the phase of its
-start's even sites, and a cold one keeps plain P.  A half-grid solve that
-does not converge is abandoned, and the fine solve runs from the start as it
-would without it.
+start's even sites, and a cold one keeps plain P.  Whatever stopped the half
+grid, once it has taken a step its answer starts the fine solve; after no
+step the fine solve runs from the start, as a direct solve.
 """
 
 from __future__ import annotations
@@ -87,10 +87,11 @@ class CoarseSolve:
     """The half-grid solve that starts every solve on an even grid, a cold
     minimize or a warm sweep point.
 
-    stop_reason "converged" means its answer started the fine solve, and the
-    result's iterations, restarts and operator_evals include its own;
-    otherwise ("max_iter", "line_search_failed" or "diverged") it was
-    abandoned, and the fine solve ran from the init as without it.
+    When it took a step (iterations > 0), its answer started the fine solve,
+    whatever its stop_reason ("converged", "max_iter" or
+    "line_search_failed"), and the result's iterations, restarts and
+    operator_evals include its own; otherwise the fine solve ran from the
+    init, with the counters of the direct solve.
     """
 
     n: int
@@ -108,7 +109,6 @@ class MinimizationResult:
     iterations: int
     grad_norm: float
     converged: bool
-    init_label: str
     wall_time: float
     stop_reason: str      # "converged", "max_iter" or "line_search_failed"
     restarts: int         # iterations after the first that stepped on -P grad
@@ -290,24 +290,16 @@ def _ncg(u: np.ndarray, op: CellOperator, b: float, s: SolverSettings,
     return it, restarts, reason, gnorm
 
 
-def _solve(init: DiscreteField, b: float, settings: SolverSettings | None, init_label: str,
+def _solve(fld: DiscreteField, b: float, s: SolverSettings,
            phase: np.ndarray | None = None) -> MinimizationResult:
-    """NCG from a copy of init on its own operator (_solve_owned)."""
-    return _solve_owned(init.copy(), b, settings, init_label, phase)
-
-
-def _solve_owned(fld: DiscreteField, b: float, settings: SolverSettings | None,
-                 init_label: str, phase: np.ndarray | None = None) -> MinimizationResult:
-    """NCG on fld itself, which the caller hands over, then the answer's
+    """NCG on fld itself, which its callers copy, then the answer's
     compensated energy.
 
     A phase conjugates the preconditioner, which makes a warm start only (a
-    sweep point's direct solve from its anchor, the fine level of a cascade
-    from the prolonged half-grid answer): from the trial state, with its own
-    phase, the solve stops on the square-lattice saddle.
+    warm solve from its anchor, the fine level of a cascade from the
+    prolonged half-grid answer): from the trial state, with its own phase,
+    the solve stops on the square-lattice saddle.
     """
-    check_b(b)
-    s = settings or SolverSettings()
     t0 = time.perf_counter()
     fld.u = fld.u.astype(np.complex128, copy=False)
     op = fld.operator()
@@ -319,7 +311,6 @@ def _solve_owned(fld: DiscreteField, b: float, settings: SolverSettings | None,
         iterations=it,
         grad_norm=gnorm,
         converged=_converged(gnorm, bd.total, fld.grid, s),
-        init_label=init_label,
         wall_time=time.perf_counter() - t0,
         stop_reason=reason,
         restarts=restarts,
@@ -350,59 +341,52 @@ def _prolong(coarse: np.ndarray, grid, wrap: WrapRule) -> np.ndarray:
     return u
 
 
-def minimize(
-    init: DiscreteField, b: float, settings: SolverSettings | None = None,
-    init_label: str = "custom",
-) -> MinimizationResult:
+def minimize(init: DiscreteField, b: float,
+             settings: SolverSettings | None = None) -> MinimizationResult:
     """Minimize from init with the plain preconditioner.  A start on an exact
     critical point, such as u = 0 where the gradient vanishes, comes back
     converged after 0 iterations (estimate_g flags g >= -1e-9).
 
     On an even grid the solve starts with the half-grid cascade of the module
     docstring, and the result's `coarse` records the half-grid run.  When it
-    converged, the fine solve runs from its prolonged answer with P
-    conjugated by that answer's phase, and iterations, restarts,
-    operator_evals and wall_time cover both levels; otherwise the fine solve
-    and its counters are those of the direct solve from init, and wall_time
-    includes the abandoned run.  An odd n, or a non-finite init, solves
-    directly.
+    took a step, the fine solve runs from its prolonged answer with P
+    conjugated by that answer's phase, and iterations, restarts and
+    operator_evals cover both levels; when it took none, the fine solve and
+    its counters are those of the direct solve from init.  wall_time covers
+    both levels either way.  Each level gets the whole of settings.  An odd
+    n, or a non-finite init, solves directly.
     """
-    return _cascade(init, b, settings, init_label, warm=False)
+    return _cascade(init, b, settings, warm=False)
 
 
 def _cascade(init: DiscreteField, b: float, settings: SolverSettings | None,
-             init_label: str, warm: bool) -> MinimizationResult:
+             warm: bool) -> MinimizationResult:
     """minimize's solve; warm (a sweep point from its anchor) also conjugates
     P on the half grid, by the phase of init's even sites, and in a direct
     solve, by init's phase.  A cold half grid keeps plain P: from the square
-    trial state a conjugated one stops on the saddle.
+    trial state a conjugated one stops on the saddle.  A half grid that
+    diverges raises its MinimizationError.
     """
     check_b(b)
     s = settings or SolverSettings()
-
-    def phase(u):
-        return _unit_phase(u) if warm else None
-
-    if init.grid.n % 2 or not np.isfinite(init.u).all():
-        return _solve(init, b, s, init_label, phase(init.u))
     t0 = time.perf_counter()
-    grid = coarse_grid(init.grid)
-    u = init.u[::2, ::2].astype(np.complex128)
-    op = CellOperator(grid, replace(init.wrap, n=grid.n))
-    try:
-        it, restarts, reason, _ = _ncg(u, op, b, s, phase(u))
-    except MinimizationError as exc:
-        it, reason = exc.diagnostics["iteration"], "diverged"
-    if reason == "converged":
+    coarse = it = None
+    if init.grid.n % 2 == 0 and np.isfinite(init.u).all():
+        grid = coarse_grid(init.grid)
+        u = init.u[::2, ::2].astype(np.complex128)
+        op = CellOperator(grid, replace(init.wrap, n=grid.n))
+        it, restarts, reason, _ = _ncg(u, op, b, s, _unit_phase(u) if warm else None)
+        coarse = CoarseSolve(grid.n, it, reason)
+    if it:
         start = DiscreteField(u=_prolong(u, init.grid, init.wrap), grid=init.grid, wrap=init.wrap)
         del u  # beside a direct solve's arrays, the fine solve holds only the phase
-        res = _solve_owned(start, b, s, init_label, _unit_phase(start.u))
+        res = _solve(start, b, s, _unit_phase(start.u))
         res.iterations += it
         res.restarts += restarts
         res.operator_evals += op.evaluations
     else:
-        res = _solve(init, b, s, init_label, phase(init.u))
-    res.coarse = CoarseSolve(grid.n, it, reason)
+        res = _solve(init.copy(), b, s, _unit_phase(init.u) if warm else None)
+    res.coarse = coarse
     res.wall_time = time.perf_counter() - t0
     return res
 
@@ -421,8 +405,8 @@ def estimate_g(config: CellConfig, settings: SolverSettings | None = None,
     start, a field on the config's grid (a sweep's anchor solution), is used
     whenever its energy at b lies below the trial state's; the solve then
     runs minimize's cascade with the preconditioner conjugated on the half
-    grid by the phase of start.u[::2, ::2], and, if the half grid is
-    abandoned, as one direct solve conjugated by phi = start.u/|start.u|.
+    grid by the phase of start.u[::2, ::2], and, if the half grid takes no
+    step, as one direct solve conjugated by phi = start.u/|start.u|.
     start itself is not changed.  Otherwise, and without start, the point is
     the cold solve from the trial state.  `coarse` records the half-grid run
     either way.  g_trial is the energy density of the trial state, an upper
@@ -444,9 +428,9 @@ def estimate_g(config: CellConfig, settings: SolverSettings | None = None,
         e_start = energy(start, b).total
     if e_start is not None and e_start < e_trial:
         del init  # the trial state is not needed any more
-        res = _cascade(start, b, settings, "anchor", warm=True)
+        res, kind = _cascade(start, b, settings, warm=True), "anchor"
     else:
-        res = minimize(init, b, settings, init_label="trial")
+        res, kind = minimize(init, b, settings), "trial"
     g_est = res.density
     flags = ["likely not converged to ground state"] if g_est >= -1e-9 else []
     _, _, mpot = density_moments(res.field)
@@ -455,7 +439,7 @@ def estimate_g(config: CellConfig, settings: SolverSettings | None = None,
         b=b, N=config.N, R=grid.R, n=grid.n, g_est=g_est, g_trial=g_trial,
         potential_moment=mpot, zeta=zeta, iterations=res.iterations,
         stop_reason=res.stop_reason, restarts=res.restarts, coarse=res.coarse, flags=flags,
-        start=res.init_label,
+        start=kind,
         wall_s=time.perf_counter() - t0,
         solution=res.field,
     )

@@ -3,7 +3,8 @@
 Layout: the ASCII magic "GLCELL1" followed by a one-line JSON header and a
 single newline, then the raw payload: 2 * n^2 little-endian float64 values,
 interleaved re/im, column-major from (i=0, j=0) with i fastest.  The payload
-is exactly 16 * n^2 bytes; readers reject any other length.
+is exactly 16 * n^2 bytes; readers reject any other length, and any header
+version but 1.
 
 The header carries the wrap twists alpha and beta, so a field in a twisted
 magnetic-periodic space reads back with its energy.  Files written before the
@@ -98,6 +99,8 @@ def _read_header(text: bytes) -> dict:
             raise SnapshotError(f"header {exc}") from None
         if not math.isfinite(meta[key]):
             raise SnapshotError(f"header {key} must be finite, got {meta[key]!r}")
+    if meta["version"] != 1:
+        raise SnapshotError(f"header version must be 1, got {meta['version']!r}")
     if meta.get("layout", LAYOUTS[0]) not in LAYOUTS:
         raise SnapshotError(f"unknown payload layout {meta['layout']!r}")
     return meta

@@ -12,16 +12,14 @@ def minimizer_b002():
     """Converged minimizer at b = 0.02, N = 16 (shared across acceptance)."""
     b, N = 0.02, 16
     cfg = trial_config(b, N)
-    return minimize(init_state("trial", cfg), b,
-                    SolverSettings(max_iter=6000), init_label="trial")
+    return minimize(init_state("trial", cfg), b, SolverSettings(max_iter=6000))
 
 
 @pytest.fixture(scope="session")
 def minimizer_b005():
     b, N = 0.05, 16
     cfg = trial_config(b, N)
-    return minimize(init_state("trial", cfg), b,
-                    SolverSettings(max_iter=6000), init_label="trial")
+    return minimize(init_state("trial", cfg), b, SolverSettings(max_iter=6000))
 
 
 @pytest.fixture(scope="session")

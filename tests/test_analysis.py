@@ -100,7 +100,7 @@ def test_sweep_ordering_enforced():
 def test_sweep_point_error_keeps_diagnostics(monkeypatch):
     # a failed solve is not swallowed: run_sweep raises the solver's own
     # error, diagnostics included
-    def diverge(init, b, settings=None, init_label="custom"):
+    def diverge(init, b, settings=None):
         raise MinimizationError("minimization diverged: test",
                                 {"stop_reason": "diverged", "iteration": 7})
 
@@ -121,9 +121,9 @@ def test_sweep_point_error_keeps_diagnostics(monkeypatch):
 
     cascade = glcell.minimize._cascade
 
-    def diverge(init, b, settings, init_label, warm):
+    def diverge(init, b, settings, warm):
         if not warm:  # the cold solve, inside minimize
-            return cascade(init, b, settings, init_label, warm)
+            return cascade(init, b, settings, warm)
         raise MinimizationError("minimization diverged: warm",
                                 {"stop_reason": "diverged", "iteration": 3})
 

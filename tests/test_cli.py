@@ -59,7 +59,8 @@ def test_minimize_maxiter_exit_code(tmp_path, capsys):
                       "--out", str(tmp_path)], capsys)
     assert code == EXIT_MAXITER
     result = json.loads((tmp_path / "result.json").read_text())
-    assert result["stop_reason"] == "max_iter" and result["iterations"] == 2
+    # two iterations on the half grid, then two on the fine grid
+    assert result["stop_reason"] == "max_iter" and result["iterations"] == 2 + 2
 
 
 @pytest.mark.parametrize("flags", [["--max-iter", "-5"], ["--grad-tol", "nan"],
@@ -214,6 +215,22 @@ def test_sweep_single_b_flagged(tmp_path, capsys):
     assert ",,," in row  # empty derivative columns
 
 
+def test_sweep_repeated_b_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
+    # a repeated b is refused before any point is solved and before the
+    # output directory is made
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a sweep point was solved")
+
+    monkeypatch.setattr(glcell.analysis, "estimate_g", no_solve)
+    out = tmp_path / "o"
+    code, _, err = run(["sweep", "--b", "0.2,0.25,0.25", "--N", "1", "--out", str(out)], capsys)
+    assert code == EXIT_ERROR
+    assert "sweep b values must not repeat, got [0.2, 0.25, 0.25]" in err
+    assert not out.exists()
+    with pytest.raises(glcell.analysis.AnalysisError, match="must not repeat"):
+        glcell.analysis.run_sweep([0.25, 0.2, 0.25], 1)
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"b": 0.25, "N": 1, "n": 48, "init": "trial"}))
@@ -355,7 +372,7 @@ def test_readme_flag_table_matches_parser():
 
 
 def test_minimize_records_the_coarse_solve(tmp_path, capsys):
-    # the half-grid solve that started the run, and an abandoned one
+    # the half-grid solve that started the run, converged or stopped at max_iter
     argv = ["minimize", "--b", "0.25", "--N", "1", "--n", "48", "--init", "trial"]
     code, _, _ = run(argv + ["--out", str(tmp_path / "a")], capsys)
     assert code == EXIT_OK
@@ -368,7 +385,7 @@ def test_minimize_records_the_coarse_solve(tmp_path, capsys):
     assert code == EXIT_MAXITER
     result = json.loads((tmp_path / "b" / "result.json").read_text())
     assert result["coarse"] == {"n": 24, "iterations": 3, "stop_reason": "max_iter"}
-    assert result["iterations"] == 3
+    assert result["iterations"] == 3 + 3
 
 
 def test_sweep_json_records_the_coarse_solve(tmp_path, capsys):

@@ -42,7 +42,7 @@ def test_init_kinds():
 
 
 def test_minimizer_below_trial_and_zero():
-    res = minimize(init_state("trial", CFG), B, SolverSettings(max_iter=3000), "trial")
+    res = minimize(init_state("trial", CFG), B, SolverSettings(max_iter=3000))
     g = build_grid(CFG)
     trial_energy = energy(build_trial(B, N, g), B).total
     assert res.breakdown.total <= trial_energy + 1e-10
@@ -54,29 +54,32 @@ def test_minimizer_below_trial_and_zero():
 
 def test_best_seen_monotone():
     # the solver returns its last iterate, which must be its best: the loop is
-    # deterministic, so the run with max_iter = k is a prefix of the run with
-    # k + 1, and the final energy may not rise from one prefix to the next
+    # deterministic, so the half grid's run with max_iter = k is a prefix of
+    # its run with k + 1, each fine solve takes at most k more steps from its
+    # prolonged answer, and the final energy may not rise from one k to the next
     for kind in ("uniform", "random"):
         init = init_state(kind, CFG)
         prev = energy(init, B).total
         for k in range(60):
-            res = minimize(init, B, SolverSettings(max_iter=k, grad_tol=1e-14), kind)
-            assert res.iterations <= k
+            res = minimize(init, B, SolverSettings(max_iter=k, grad_tol=1e-14))
+            assert res.iterations <= 2 * k
             assert res.breakdown.total <= prev + 1e-12 * abs(prev), (kind, k)
             prev = res.breakdown.total
 
 
 def test_restarts_counted(monkeypatch):
-    # a restart is an iteration after the first that steps on -P grad: with a
-    # forced restart every iteration that is all of them but the first, and
-    # with one every 10th there are at least iterations // 10
+    # a restart is an iteration after the first that steps on -P grad, and
+    # the counts sum the half grid's and the fine solve's: with a forced
+    # restart every iteration that is all of them but the first of each
+    # level, and with one every 10th there are at least iterations // 10 on each
     init = init_state("random", CellConfig(b=B, N=N, n=48, seed=3))
     monkeypatch.setattr(minimize_module, "RESTART_EVERY", 1)
     res = minimize(init, B, SolverSettings(max_iter=30))
-    assert res.iterations == 30 and res.restarts == 29
+    assert res.iterations == 30 + 30 and res.restarts == 29 + 29
     monkeypatch.setattr(minimize_module, "RESTART_EVERY", 10)
     res = minimize(init, B, SolverSettings(max_iter=30))
-    assert res.iterations == 30 and 3 <= res.restarts < 29
+    assert res.coarse.iterations == 30 and res.iterations == 30 + 20
+    assert 3 + 2 <= res.restarts < 29 + 19
     point = estimate_g(CellConfig(b=B, N=N, n=48), SolverSettings(max_iter=30))
     assert point.restarts >= 3
 
@@ -197,9 +200,10 @@ def test_operator_evals_count_the_final_energy():
 
 
 def test_stop_reason_max_iter():
+    # the budget holds on each level: three half-grid and three fine iterations
     res = minimize(init_state("random", CFG), B, SolverSettings(max_iter=3, grad_tol=1e-14))
     assert res.stop_reason == "max_iter"
-    assert res.iterations == 3 and not res.converged
+    assert res.iterations == 3 + 3 and not res.converged
     # each iteration applies D twice and its adjoint once
     assert res.operator_evals >= 3 * res.iterations
 
@@ -209,7 +213,7 @@ def test_stop_reason_max_iter():
 def test_grad_norm_is_the_gradient_of_the_answer(settings, reason):
     # the loop's last evaluation is at the final field, so grad_norm needs no
     # second one and is the gradient's norm to the last bit
-    res = minimize(init_state("trial", CFG), B, settings, "trial")
+    res = minimize(init_state("trial", CFG), B, settings)
     assert res.stop_reason == reason
     g = gradient(res.field, B)
     assert res.grad_norm == math.sqrt(redot(g, g))
@@ -219,7 +223,7 @@ def test_stop_reason_line_search_failed_at_round_off():
     # with no tolerance the solver runs into the rounding of the energy; the
     # quartic then predicts no decrease along -P grad and the run stops
     s = SolverSettings(grad_tol=0.0, max_iter=5000)
-    res = minimize(init_state("trial", CFG), B, s, "trial")
+    res = minimize(init_state("trial", CFG), B, s)
     assert res.stop_reason == "line_search_failed"
     assert res.iterations < s.max_iter
     assert res.grad_norm * res.field.grid.h / abs(res.breakdown.total) <= 1e-8
@@ -347,8 +351,8 @@ def test_coarse_grid_is_the_even_sites():
 @pytest.mark.parametrize("b, N, n", [(0.25, 1, 48), (0.25, 4, 84)])
 def test_cascade_reaches_the_direct_critical_point(b, N, n):
     init = init_state("trial", CellConfig(b=b, N=N, n=n))
-    res = minimize(init, b, SolverSettings(), "trial")
-    direct = _solve(init, b, SolverSettings(), "trial")
+    res = minimize(init, b, SolverSettings())
+    direct = _solve(init.copy(), b, SolverSettings())
     assert res.coarse == CoarseSolve(n=n // 2, iterations=res.coarse.iterations,
                                      stop_reason="converged")
     assert res.stop_reason == direct.stop_reason == "converged" and res.converged
@@ -362,14 +366,14 @@ def test_cascade_counters_sum_both_levels():
     # then the fine solve from its prolonged answer with P conjugated by its phase
     b, cfg, s = B4, CFG4, SolverSettings()
     init = init_state("trial", cfg)
-    res = minimize(init, b, s, "trial")
+    res = minimize(init, b, s)
     grid = coarse_grid(init.grid)
     u = init.u[::2, ::2].copy()
     op = CellOperator(grid, WrapRule(n=grid.n, N=grid.N))
     it, restarts, reason, _ = _ncg(u, op, b, s)
     assert reason == "converged" and res.coarse == CoarseSolve(grid.n, it, reason)
     start = DiscreteField(u=_prolong(u, init.grid, init.wrap), grid=init.grid, wrap=init.wrap)
-    fine = _solve(start, b, s, "trial", _unit_phase(start.u))
+    fine = _solve(start, b, s, _unit_phase(start.u))
     assert np.array_equal(res.field.u, fine.field.u)
     assert res.iterations == it + fine.iterations
     assert res.restarts == restarts + fine.restarts
@@ -379,46 +383,87 @@ def test_cascade_counters_sum_both_levels():
     assert res.wall_time > 0.0
 
 
+def _replay(init, b, s, warm):
+    """The two levels by hand: the half-grid NCG from init's even sites, with
+    P conjugated by their phase if warm, then the fine solve from its
+    prolonged answer with P conjugated by that answer's phase.  Returns the
+    half grid's CoarseSolve, restarts and operator evaluations, and the fine
+    solve's result."""
+    grid = coarse_grid(init.grid)
+    u = init.u[::2, ::2].copy()
+    op = CellOperator(grid, WrapRule(n=grid.n, N=grid.N))
+    it, restarts, reason, _ = _ncg(u, op, b, s, _unit_phase(u) if warm else None)
+    start = DiscreteField(u=_prolong(u, init.grid, init.wrap), grid=init.grid, wrap=init.wrap)
+    fine = _solve(start, b, s, _unit_phase(start.u))
+    return CoarseSolve(grid.n, it, reason), restarts, op.evaluations, fine
+
+
 @pytest.mark.parametrize("settings, reason", [(SolverSettings(max_iter=5), "max_iter"),
                                               (SolverSettings(max_iter=0), "max_iter"),
                                               (SolverSettings(grad_tol=0.0, max_iter=40), "max_iter")])
 def test_unconverged_coarse_solve_falls_back_bit_for_bit(settings, reason):
-    # the abandoned half-grid attempt is recorded, and the fine solve, its
-    # field and its counters are those of the direct solve from init
+    # a half grid stopped at max_iter still hands its answer to the fine
+    # solve, bit for bit as the replay of the two levels; one that took no
+    # step leaves the field and the counters of the direct solve from init
     init = init_state("trial", CFG)
-    res = minimize(init, B, settings, "trial")
-    direct = _solve(init, B, settings, "trial")
-    assert res.coarse.n == CFG.n // 2 and res.coarse.stop_reason == reason
-    assert res.coarse.iterations == settings.max_iter
-    assert np.array_equal(res.field.u, direct.field.u)
-    assert (res.iterations, res.restarts, res.operator_evals, res.stop_reason, res.grad_norm) == (
-        direct.iterations, direct.restarts, direct.operator_evals, direct.stop_reason,
-        direct.grad_norm)
+    res = minimize(init, B, settings)
+    assert res.coarse == CoarseSolve(CFG.n // 2, settings.max_iter, reason)
+    if settings.max_iter:
+        coarse, restarts, evals, fine = _replay(init, B, settings, warm=False)
+        assert coarse == res.coarse
+        want = (coarse.iterations + fine.iterations, restarts + fine.restarts,
+                evals + fine.operator_evals)
+    else:
+        fine = _solve(init.copy(), B, settings)
+        want = (fine.iterations, fine.restarts, fine.operator_evals)
+    assert np.array_equal(res.field.u, fine.field.u)
+    assert (res.iterations, res.restarts, res.operator_evals) == want
+    assert (res.stop_reason, res.grad_norm) == (fine.stop_reason, fine.grad_norm)
+
+
+def test_half_grid_stopped_at_max_iter_still_converges():
+    # 30 iterations leave the half grid short of converged, and the fine
+    # solve from its answer converges in 17 more, to the unbudgeted answer;
+    # the direct solve from the trial state does not converge in 30
+    init = init_state("trial", CellConfig(b=B, N=N, n=48))
+    res = minimize(init, B, SolverSettings(max_iter=30))
+    assert res.coarse == CoarseSolve(24, 30, "max_iter")
+    assert res.converged and res.stop_reason == "converged"
+    assert res.iterations == 30 + 17
+    full = minimize(init, B)
+    assert abs(res.breakdown.total - full.breakdown.total) <= 1e-9 * abs(full.breakdown.total)
+    assert not _solve(init.copy(), B, SolverSettings(max_iter=30)).converged
 
 
 @pytest.mark.parametrize("huge", [True, False])
 def test_bad_start_raises_as_the_direct_solve(huge):
-    # a huge field diverges on the half grid too, and the fine solve from
-    # init then raises what a direct solve raises; a nan on an odd site,
-    # which the half grid does not see, goes straight to the direct solve
+    # a huge field diverges at iteration 1 on the half grid, and that error
+    # reaches the caller; a nan on an odd site, which the half grid does not
+    # see, goes straight to the direct solve and raises what it raises
     init = init_state("uniform", CFG)
     if huge:
         init.u *= 1e40
     else:
         init.u[1, 1] = np.nan
-    with np.errstate(all="ignore"), pytest.raises(MinimizationError) as direct:
-        _solve(init, B, None, "custom")
+    with np.errstate(all="ignore"), pytest.raises(MinimizationError) as first:
+        if huge:
+            grid = coarse_grid(init.grid)
+            _ncg(init.u[::2, ::2].copy(), CellOperator(grid, WrapRule(n=grid.n, N=grid.N)), B,
+                 SolverSettings())
+        else:
+            _solve(init.copy(), B, SolverSettings())
     with np.errstate(all="ignore"), pytest.raises(MinimizationError) as cascaded:
         minimize(init, B)
-    assert str(cascaded.value) == str(direct.value)
-    assert repr(cascaded.value.diagnostics) == repr(direct.value.diagnostics)  # nan != nan
+    assert str(cascaded.value) == str(first.value)
+    assert repr(cascaded.value.diagnostics) == repr(first.value.diagnostics)  # nan != nan
+    assert cascaded.value.diagnostics["iteration"] == (1 if huge else 0)
 
 
 def test_odd_grid_solves_directly():
     init = init_state("random", CellConfig(b=B, N=N, n=49, seed=2))
     s = SolverSettings(max_iter=200)
     res = minimize(init, B, s)
-    direct = _solve(init, B, s, "custom")
+    direct = _solve(init.copy(), B, s)
     assert res.coarse is None
     assert np.array_equal(res.field.u, direct.field.u)
     assert (res.iterations, res.operator_evals) == (direct.iterations, direct.operator_evals)
@@ -444,7 +489,7 @@ def anchor4():
 def test_warm_cascade_reaches_the_direct_warm_critical_point(anchor4):
     before = anchor4.u.copy()
     point = estimate_g(CFG4, start=anchor4)
-    direct = _solve(anchor4, B4, SolverSettings(), "anchor", _unit_phase(anchor4.u))
+    direct = _solve(anchor4.copy(), B4, SolverSettings(), _unit_phase(anchor4.u))
     assert point.start == "anchor" and point.stop_reason == direct.stop_reason == "converged"
     assert abs(point.g_est - direct.density) <= 1e-9 * abs(direct.density)
     assert np.array_equal(anchor4.u, before)  # the sweep hands the anchor to every point
@@ -463,7 +508,7 @@ def test_warm_cascade_counters_sum_both_levels(anchor4):
     assert reason == "converged" and point.coarse == CoarseSolve(grid.n, it, reason)
     start = DiscreteField(u=_prolong(u, anchor4.grid, anchor4.wrap), grid=anchor4.grid,
                           wrap=anchor4.wrap)
-    fine = _solve(start, B4, s, "anchor", _unit_phase(start.u))
+    fine = _solve(start, B4, s, _unit_phase(start.u))
     assert np.array_equal(point.solution.u, fine.field.u)
     assert point.iterations == it + fine.iterations
     assert point.restarts == restarts + fine.restarts
@@ -473,13 +518,13 @@ def test_warm_cascade_counters_sum_both_levels(anchor4):
 @pytest.mark.parametrize("settings", [SolverSettings(max_iter=5),
                                       SolverSettings(grad_tol=0.0, max_iter=40)])
 def test_unconverged_warm_half_grid_falls_back_bit_for_bit(anchor4, settings):
-    # the abandoned half-grid attempt is recorded, and the point is the
-    # direct warm solve from the anchor, P conjugated by the anchor's phase
+    # a warm half grid stopped at max_iter still hands its answer to the fine
+    # solve, bit for bit as the replay of the two levels
     point = estimate_g(CFG4, settings, start=anchor4)
-    direct = _solve(anchor4, B4, settings, "anchor", _unit_phase(anchor4.u))
+    coarse, restarts, _, fine = _replay(anchor4, B4, settings, warm=True)
     assert point.start == "anchor"
-    assert point.coarse == CoarseSolve(CFG4.n // 2, settings.max_iter, "max_iter")
-    assert np.array_equal(point.solution.u, direct.field.u)
-    assert point.g_est == direct.density
+    assert point.coarse == coarse == CoarseSolve(CFG4.n // 2, settings.max_iter, "max_iter")
+    assert np.array_equal(point.solution.u, fine.field.u)
+    assert point.g_est == fine.density
     assert (point.iterations, point.restarts, point.stop_reason) == (
-        direct.iterations, direct.restarts, direct.stop_reason)
+        coarse.iterations + fine.iterations, restarts + fine.restarts, fine.stop_reason)

@@ -176,6 +176,7 @@ def test_old_header_reads_untwisted(tmp_path):
     ({"R": None}, "header R must be a real number, got None"),
     ({"alpha": float("nan")}, "header alpha must be finite, got nan"),
     ({"beta": float("-inf")}, "header beta must be finite, got -inf"),
+    ({"version": 2}, "header version must be 1, got 2"),
 ])
 def test_header_values_are_checked_not_converted(edit, message, tmp_path):
     f, b = make_field()

@@ -1,9 +1,11 @@
 """Command-line interface: minimize, trial, vortices, sweep.
 
 Exit codes: 0 success (and convergence for minimize), 2 iteration budget
-exhausted, 1 any error.  JSON outputs write each float in its repr form,
-the shortest decimal that reads back as the same float64, so values
-round-trip exactly; a non-finite value is an error, not a JSON extension.
+exhausted, 3 minimize stopped short of convergence by a failed line search
+(no drop above the rounding of the energy), 1 any error.  JSON outputs
+write each float in its repr form, the shortest decimal that reads back as
+the same float64, so values round-trip exactly; a non-finite value is an
+error, not a JSON extension.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .vortices import classify_squares, find_balls, vorticity
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MAXITER = 2
+EXIT_STALLED = 3
 
 
 def _write_json(path, obj) -> None:
@@ -124,7 +127,9 @@ def cmd_minimize(args) -> int:
         "operator_evals": res.operator_evals,
         "coarse": res.coarse.record() if res.coarse else None,
     })
-    return EXIT_OK if res.converged else EXIT_MAXITER
+    if res.converged:
+        return EXIT_OK
+    return EXIT_MAXITER if res.stop_reason == "max_iter" else EXIT_STALLED
 
 
 def cmd_trial(args) -> int:

@@ -206,24 +206,21 @@ def enclosing_disk(points, rng=None) -> tuple[tuple[float, float], float]:
     rng = rng or np.random.default_rng(0)
     rng.shuffle(pts)
     eps = 1e-12
-
-    def inside(p, c, r):
-        return math.hypot(p[0] - c[0], p[1] - c[1]) <= r + eps
-
+    # containment |p - c| <= r + eps inline: a call per point costs more than the test
     c, r = pts[0], 0.0
     for i, p in enumerate(pts):
-        if inside(p, c, r):
+        if math.hypot(p[0] - c[0], p[1] - c[1]) <= r + eps:
             continue
         c, r = p, 0.0
         for j in range(i):
             q = pts[j]
-            if inside(q, c, r):
+            if math.hypot(q[0] - c[0], q[1] - c[1]) <= r + eps:
                 continue
             c = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
             r = math.hypot(p[0] - q[0], p[1] - q[1]) / 2.0
             for k in range(j):
                 s = pts[k]
-                if inside(s, c, r):
+                if math.hypot(s[0] - c[0], s[1] - c[1]) <= r + eps:
                     continue
                 c, r = _circumcircle(p, q, s)
     return c, r
@@ -362,12 +359,18 @@ def find_balls(
     # clearance h keeps the sampled boundary circles off the support sites
     disks = [(c, r + g.h) for c, r in disks]
     disks = _merge_disks(disks, g.R, clearance=g.h)
-    balls = []
-    for c, r in disks:
-        deg = _ball_degree(field, c, r, threshold)
-        balls.append(VortexBall(center=(float(c[0]), float(c[1])), radius=float(r),
-                                degree=deg))
-    return balls
+    if not disks:
+        return []
+    # every ball's first square loop in one wrap_value call; only a loop that
+    # dips below the threshold goes back to _ball_degree to grow
+    loops = [_square_loop(c, r, g) for c, r in disks]
+    idx = np.concatenate(loops)
+    vals = np.split(wrap_value(field.u, field.wrap, idx[:, 0], idx[:, 1]),
+                    np.cumsum([len(loop) for loop in loops])[:-1])
+    return [VortexBall(center=(float(c[0]), float(c[1])), radius=float(r),
+                       degree=_loop_degree(v) if np.min(np.abs(v)) >= threshold
+                       else _ball_degree(field, c, r, threshold))
+            for (c, r), v in zip(disks, vals)]
 
 
 def radius_budget(b: float) -> float:
@@ -541,9 +544,11 @@ def uniform_measure(domain, density: float) -> DiscreteMeasure:
 
 
 # atoms per block in _level_pairings, scattered or in whole lattice rows:
-# bounds its temporaries (the tracemalloc peak of the n=568 depth-4 dual
-# distance is 0.9 MB for the lattice and 2.4 MB for the same atoms
-# scattered); 2**13 and 2**15 are both slower on the lattice
+# bounds its temporaries, which hold only the candidate pairs whose tent
+# reaches the atom (a candidate that does not reach pairs to exactly 0);
+# the tracemalloc peak of the n=568 depth-4 dual distance is 0.9 MB for the
+# lattice and 3.6 MB for the same atoms scattered, where the pairs that
+# reach are gathered; 2**13 and 2**15 are both slower on the lattice
 _ATOM_CHUNK = 2**14
 
 
@@ -553,17 +558,22 @@ def _level_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry) -> np.ndarray:
     The tent (ii, jj) sits at (cx[ii], cy[jj]) with radius
     min(rx[ii], ry[jj]) <= the cell sides sx and sy, so an atom pairs to
     nonzero only with the tent of its own cell or of the neighbour on its
-    nearer side, per axis.  The tent grid is padded with a ring of
-    zero-radius tents, and a candidate index is clipped onto that ring, so an
-    atom at or past the domain edge pairs to exactly 0 there without a mask;
-    the ring is dropped on return.
+    nearer side, per axis.  Of these candidates, an atom is paired only with
+    those that reach it on both axes: radius > sqrt(offset**2) along the
+    axis.  A skipped pair is exactly 0, since min(rx, ry) <= sqrt(dx**2) <=
+    sqrt(dx**2 + dy**2) holds in floating point too.  The tent grid is
+    padded with a ring of zero-radius tents, and a candidate index is
+    clipped onto that ring, so an atom at or past the domain edge keeps its
+    outward candidate apart from its own cell's tent; the ring reaches no
+    atom and is dropped on return.
 
     A DiscreteMeasure finds its candidates atom by atom, in blocks of
     _ATOM_CHUNK atoms, and sums each block into the tents with bincount.  A
     LatticeMeasure finds them once per axis, for len(xs) + len(ys) values,
-    evaluates the four candidate pairs on blocks of about _ATOM_CHUNK atoms
-    (whole rows), and sums each block into the tents by its (row tent,
-    column tent) index as one-hot matrix products.
+    evaluates the candidate pairs that reach on blocks of about _ATOM_CHUNK
+    atoms (whole rows, with the rows and columns that reach gathered), and
+    sums each block into the tents by its (row tent, column tent) index as
+    one-hot matrix products.
     """
     nx = len(cx)
     # ring centres one cell beyond the ends keep every offset finite
@@ -572,49 +582,68 @@ def _level_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry) -> np.ndarray:
     rx_pad, ry_pad = np.pad(rx, 1), np.pad(ry, 1)
     sums = np.zeros((nx + 2, nx + 2))
 
-    def candidates(p, lo, side, centres):
-        # padded index and squared offset of the own-cell and nearer-neighbour tents
+    def candidates(p, lo, side, centres, radii):
+        # padded index, radius, squared offset and reach of the own-cell and
+        # nearer-neighbour tents along one axis
         f = (p - lo) / side
         own = np.floor(f)
         near = own + np.where(f - own >= 0.5, 1.0, -1.0)
         out = []
         for c in (own, near):
             k = (np.clip(c, -1, nx) + 1).astype(np.intp)
-            out.append((k, (p - centres[k]) ** 2))
+            d2 = (p - centres[k]) ** 2
+            out.append((k, radii[k], d2, radii[k] > np.sqrt(d2)))
         return out
 
     def pair(ri, rj, dx2, dy2, w):
-        # (s - |x - c|)_+ w of each atom and its candidate tent, s = min(ri, rj)
+        # (s - |x - c|)_+ w of each atom and its candidate tent, s = min(ri, rj),
+        # which is rj itself when no ri is below the largest rj
         term = np.add(dx2, dy2)
-        np.subtract(np.minimum(ri, rj), np.sqrt(term, out=term), out=term)
+        s = rj if ri.min() >= rj.max() else np.minimum(ri, rj)
+        np.subtract(s, np.sqrt(term, out=term), out=term)
         np.maximum(term, 0.0, out=term)
         term *= w
         return term
 
-    if isinstance(mu, LatticeMeasure):
-        def one_hot(p, lo, side, centres, radii):
-            # the candidates of one axis, each index as a one-hot (len, nx + 2) matrix
-            return [(np.equal.outer(k, np.arange(nx + 2)).astype(float), radii[k], d2)
-                    for k, d2 in candidates(p, lo, side, centres)]
+    def one_hot(k):
+        return np.equal.outer(k, np.arange(nx + 2)).astype(float)
 
-        xs = one_hot(mu.xs, x_lo, sx, cx_pad, rx_pad)
-        ys = one_hot(mu.ys, y_lo, sy, cy_pad, ry_pad)
+    if isinstance(mu, LatticeMeasure):
+        # a candidate that reaches every atom of its axis (or block) is a view
+        ys = []
+        for k, rj, dy2, reach in candidates(mu.ys, y_lo, sy, cy_pad, ry_pad):
+            if reach.any():
+                cols = slice(None) if reach.all() else np.flatnonzero(reach)
+                ys.append((cols, one_hot(k[cols]), rj[cols], dy2[cols]))
+        xs = [(one_hot(k), ri, dx2, reach)
+              for k, ri, dx2, reach in candidates(mu.xs, x_lo, sx, cx_pad, rx_pad)]
         rows = max(1, _ATOM_CHUNK // max(len(mu.ys), 1))
         for start in range(0, len(mu.xs), rows):
             block = slice(start, start + rows)
-            for row_tents, ri, dx2 in xs:
-                for col_tents, rj, dy2 in ys:
-                    term = pair(ri[block, None], rj, dx2[block, None], dy2, mu.weights[block])
-                    sums += row_tents[block].T @ (term @ col_tents)
+            for row_tents, ri, dx2, reach in xs:
+                if reach[block].all():
+                    kept = block
+                elif reach[block].any():
+                    kept = start + np.flatnonzero(reach[block])
+                else:
+                    continue
+                w = mu.weights[kept]
+                for cols, col_tents, rj, dy2 in ys:
+                    term = pair(ri[kept, None], rj, dx2[kept, None], dy2, w[:, cols])
+                    sums += row_tents[kept].T @ (term @ col_tents)
     else:
         for start in range(0, len(mu.weights), _ATOM_CHUNK):
             block = slice(start, start + _ATOM_CHUNK)
-            xs = candidates(mu.points[block, 0], x_lo, sx, cx_pad)
-            ys = candidates(mu.points[block, 1], y_lo, sy, cy_pad)
-            for i, dx2 in xs:
-                for j, dy2 in ys:
-                    term = pair(rx_pad[i], ry_pad[j], dx2, dy2, mu.weights[block])
-                    sums += np.bincount(i * (nx + 2) + j, term,
+            w = mu.weights[block]
+            xs = candidates(mu.points[block, 0], x_lo, sx, cx_pad, rx_pad)
+            ys = candidates(mu.points[block, 1], y_lo, sy, cy_pad, ry_pad)
+            for i, ri, dx2, reach_x in xs:
+                for j, rj, dy2, reach_y in ys:
+                    kept = np.flatnonzero(reach_x & reach_y)
+                    if kept.size == 0:
+                        continue
+                    term = pair(ri[kept], rj[kept], dx2[kept], dy2[kept], w[kept])
+                    sums += np.bincount(i[kept] * (nx + 2) + j[kept], term,
                                         minlength=(nx + 2) ** 2).reshape(nx + 2, nx + 2)
     sums = sums[1:-1, 1:-1]
     if mu.uniform_density:
@@ -638,10 +667,14 @@ def lipschitz_dual_distance(
     the open domain; the estimate is monotone in dictionary_depth.
 
     A tent's radius is at most the side of its dyadic cell, so an atom lies
-    in the support of at most 4 tents per depth: per axis, the tent of its
-    own cell and the one of the neighbouring cell on the nearer side.  Each
-    depth therefore costs O(atoms + tents), not O(atoms * tents), and a
-    LatticeMeasure finds those tents per axis, not per atom.  The witness is
+    in the support of at most 4 tents per depth, and only those that reach
+    it are paired with it: per axis, the tent of its own cell and the one of
+    the neighbouring cell on the nearer side, each kept when its radius
+    exceeds the atom's offset along that axis.  A skipped pair is exactly 0,
+    since the cone's distance is never below an axis offset in floating
+    point.  Each depth therefore costs O(atoms + tents), not O(atoms *
+    tents), and a LatticeMeasure finds those tents per axis, not per atom;
+    at depths 0 and 1 only its own cell's tent reaches an atom.  The witness is
     the first tent in (depth, ii, jj) order within 1e-12 relative of the
     maximum, or (0, 0, 0) when every pairing is 0.
     """

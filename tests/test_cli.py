@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import glcell
-from glcell.cli import EXIT_ERROR, EXIT_MAXITER, EXIT_OK, build_parser, main
+from glcell.cli import EXIT_ERROR, EXIT_MAXITER, EXIT_OK, EXIT_STALLED, build_parser, main
 from glcell.energy import energy
+from glcell.minimize import SolverSettings
 from glcell.snapshot import read_snapshot
 
 
@@ -61,6 +62,19 @@ def test_minimize_maxiter_exit_code(tmp_path, capsys):
     result = json.loads((tmp_path / "result.json").read_text())
     # two iterations on the half grid, then two on the fine grid
     assert result["stop_reason"] == "max_iter" and result["iterations"] == 2 + 2
+
+
+def test_minimize_line_search_failed_exit_code(tmp_path, capsys):
+    # with grad_tol 0 the solve never converges; it stops when the line search
+    # finds no drop above the rounding of the energy, well inside its budget
+    code, _, _ = run(["minimize", "--b", "0.25", "--N", "1", "--n", "48",
+                      "--init", "trial", "--grad-tol", "0", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_STALLED
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["stop_reason"] == "line_search_failed" and not result["converged"]
+    budget = SolverSettings().max_iter
+    coarse = result["coarse"]["iterations"]
+    assert coarse < budget and result["iterations"] - coarse < budget
 
 
 @pytest.mark.parametrize("flags", [["--max-iter", "-5"], ["--grad-tol", "nan"],

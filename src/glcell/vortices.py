@@ -4,7 +4,7 @@ Zeros of the order parameter are located as connected components of
 {|u| < threshold}, wrapped periodically across the seams.  Each component is
 covered by its minimal enclosing disk; intersecting disks are merged until
 the collection is pairwise disjoint, and each ball gets an integer degree
-from the winding of u/|u| along a surrounding lattice loop.  The cell tiles
+from the winding of u/|u| along one lattice loop that hugs it.  The cell tiles
 into N congruent squares of area 2*pi which are classified good or bad by
 their local energy, and the vorticity measure mu = curl j + curl A0 always
 carries total mass 2*pi*N by telescoping.  mu stays on its plaquette lattice
@@ -13,7 +13,7 @@ axis at a time; scattered atoms (DiscreteMeasure) are paired atom by atom.
 
 Everything here reads the field's own connection: covariant differences go
 through its cell operator, and loop values through grid.wrap_value, one
-array call per loop.
+array call per loop (one for all the balls' loops).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .energy import DiscreteField, covariant_differences
+from .energy import DiscreteField
 from .grid import TWO_PI, wrap_value
 
 
@@ -33,7 +33,8 @@ class VortexError(ValueError):
 
 @dataclass(frozen=True)
 class VortexBall:
-    """Disk with |u| >= threshold on its sampled boundary, and its winding."""
+    """Disk holding its zeros, and their degree: the winding of u/|u| on
+    the one loop that hugs the disk, where |u| >= threshold by construction."""
 
     center: tuple[float, float]
     radius: float
@@ -149,19 +150,14 @@ def _loop_degree(vals: np.ndarray) -> int:
     return deg
 
 
-def _box_loop(lo_i: int, lo_j: int, side: int) -> np.ndarray:
-    """Closed counterclockwise lattice loop around the square with lower-left
-    corner (lo_i, lo_j) and the given side, as a (4 side + 1, 2) index array."""
-    up = np.arange(side)
-    edge, zero = np.full(side, side), np.zeros(side, int)
-    i = np.concatenate([up, edge, side - up, zero, [0]])
-    j = np.concatenate([zero, up, edge, side - up, [0]])
-    return np.column_stack([lo_i + i, lo_j + j])
-
-
 def cell_boundary_loop(n: int) -> np.ndarray:
-    """Counterclockwise lattice loop along the cell boundary (uses ghosts)."""
-    return _box_loop(0, 0, n)
+    """Counterclockwise lattice loop along the cell boundary (uses ghosts),
+    as a (4 n + 1, 2) index array."""
+    up = np.arange(n)
+    edge, zero = np.full(n, n), np.zeros(n, int)
+    i = np.concatenate([up, edge, n - up, zero, [0]])
+    j = np.concatenate([zero, up, edge, n - up, [0]])
+    return np.column_stack([i, j])
 
 
 def _torus_delta(p, q, R):
@@ -328,22 +324,20 @@ def _merge_disks(disks, R, clearance):
     return disks
 
 
-def _square_loop(center, radius, grid) -> np.ndarray:
+def _circle_loop(center, radius, grid) -> np.ndarray:
+    """Closed counterclockwise loop of 8-neighbour lattice steps, as a
+    (k + 1, 2) index array: the sites nearest the circle of radius
+    radius + h/2 about center at ceil(8 (radius + h/2)/h) angles, repeats
+    dropped.  Samples lie under h apart per axis, so their sites differ by
+    at most one step, and each site is within h/sqrt(2) of the circle."""
     h, R = grid.h, grid.R
-    ic = int(round((center[0] + R / 2) / h))
-    jc = int(round((center[1] + R / 2) / h))
-    rs = max(1, int(math.ceil(radius / h)) + 1)
-    return _box_loop(ic - rs, jc - rs, 2 * rs)
-
-
-def _ball_degree(field: DiscreteField, center, radius, threshold) -> int:
-    for grow in range(8):
-        loop = _square_loop(center, radius + grow * field.grid.h, field.grid)
-        vals = wrap_value(field.u, field.wrap, loop[:, 0], loop[:, 1])
-        if np.min(np.abs(vals)) >= threshold:
-            break
-    # without a clean contour at moderate growth, accept the last nonzero one
-    return _loop_degree(vals)
+    rho = radius / h + 0.5
+    m = math.ceil(8 * rho)
+    # site i + 1j j of each sample, in units of h from the lattice origin
+    z = np.rint(complex(center[0] + R / 2, center[1] + R / 2) / h
+                + rho * np.exp(np.arange(m) * (1j * TWO_PI / m)))
+    z = z[z != np.concatenate([z[1:], z[:1]])]  # the last of each run on one site
+    return np.concatenate([z, z[:1]]).view(float).reshape(-1, 2).astype(int)
 
 
 def find_balls(
@@ -351,25 +345,32 @@ def find_balls(
     b: float,
     threshold: float = 0.5,
 ) -> list[VortexBall]:
-    """Disjoint vortex balls covering {|u| < threshold}, with degrees."""
+    """Disjoint vortex balls covering {|u| < threshold}, with degrees.
+
+    Each degree is the winding of u/|u| on the ball's one loop,
+    _circle_loop, which hugs it and is clean by construction: its sites lie
+    between r - 0.21h and r + 1.21h from the centre, the ball's own
+    components within r - h, and every other ball's beyond r + 2h, so
+    |u| >= threshold on the loop and the winding counts exactly the ball's
+    own zeros.
+    """
     g = field.grid
     mask = np.abs(field.u) < threshold
     comps = _components(mask)
     disks = [_component_disk(c, g) for c in comps]
-    # clearance h keeps the sampled boundary circles off the support sites
+    # clearance h keeps every loop off the support sites, its own and the
+    # other balls', which _merge_disks leaves r_i + r_j + h apart
     disks = [(c, r + g.h) for c, r in disks]
     disks = _merge_disks(disks, g.R, clearance=g.h)
     if not disks:
         return []
-    # every ball's first square loop in one wrap_value call; only a loop that
-    # dips below the threshold goes back to _ball_degree to grow
-    loops = [_square_loop(c, r, g) for c, r in disks]
+    # every ball's loop in one wrap_value call
+    loops = [_circle_loop(c, r, g) for c, r in disks]
     idx = np.concatenate(loops)
     vals = np.split(wrap_value(field.u, field.wrap, idx[:, 0], idx[:, 1]),
                     np.cumsum([len(loop) for loop in loops])[:-1])
     return [VortexBall(center=(float(c[0]), float(c[1])), radius=float(r),
-                       degree=_loop_degree(v) if np.min(np.abs(v)) >= threshold
-                       else _ball_degree(field, c, r, threshold))
+                       degree=_loop_degree(v))
             for (c, r), v in zip(disks, vals)]
 
 
@@ -486,15 +487,6 @@ def coverage_gaps(field: DiscreteField, balls, b: float) -> int:
     return int(x.size)
 
 
-def supercurrent(field: DiscreteField) -> tuple[np.ndarray, np.ndarray]:
-    """Per-link current j = Im(conj(u) * D u) / h; gauge invariant, periodic."""
-    dx, dy = covariant_differences(field)
-    h = field.grid.h
-    jx = (np.conj(field.u) * dx).imag / h
-    jy = (np.conj(field.u) * dy).imag / h
-    return jx, jy
-
-
 def vorticity(field: DiscreteField) -> VorticityField:
     """Vorticity mu = curl j + curl A0 per plaquette; total mass 2*pi*N.
 
@@ -508,8 +500,8 @@ def vorticity(field: DiscreteField) -> VorticityField:
     d = np.empty(u.shape, np.complex128)
 
     def current(axis):
-        # supercurrent's j = Im(conj(u) D u) / h, formed in d as Im(u conj(D u)) / -h:
-        # the same complex product, so mu matches supercurrent's bit for bit
+        # the current j = Im(conj(u) D u) / h on the links along axis,
+        # formed in d as Im(u conj(D u)) / -h
         op.D_axis(u, axis, d)
         np.multiply(u, np.conjugate(d, out=d), out=d)
         d.imag /= -g.h
@@ -519,7 +511,7 @@ def vorticity(field: DiscreteField) -> VorticityField:
     jy = current(1)
     jx_next = d.real  # free once jy is formed
     jx_next[:, :-1], jx_next[:, -1] = mu[:, 1:], mu[:, 0]
-    # circ = h (jx + jy(x + h e1) - jx(x + h e2) - jy), in supercurrent's order
+    # circ = h (jx + jy(x + h e1) - jx(x + h e2) - jy), summed in that order
     mu[:-1] += jy[1:]
     mu[-1] += jy[0]
     mu -= jx_next

@@ -8,20 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from glcell.energy import DiscreteField, energy
-from glcell.grid import TWO_PI, CellConfig, WrapRule, build_grid
+from glcell.energy import DiscreteField, covariant_differences, energy
+from glcell.grid import TWO_PI, CellConfig, WrapRule, build_grid, wrap_value
 from glcell.trial import build_trial, trial_config
 from glcell.vortices import (
     DiscreteMeasure,
     LatticeMeasure,
     VortexError,
     VorticityField,
-    _ball_degree,
+    _circle_loop,
     _component_disk,
     _components,
     _level_pairings,
     _merge_disks,
-    _square_loop,
     _torus_delta,
     cell_boundary_loop,
     classify_squares,
@@ -29,7 +28,6 @@ from glcell.vortices import (
     enclosing_disk,
     find_balls,
     lipschitz_dual_distance,
-    supercurrent,
     uniform_measure,
     vorticity,
     vorticity_measure,
@@ -54,7 +52,7 @@ def synthetic_field(n=48, N=1, b=0.5, profile="one"):
 
 def test_winding_basic():
     f = synthetic_field(profile="zero1")
-    loop = _square_loop((0.0, 0.0), 3 * f.grid.h, f.grid)
+    loop = _circle_loop((0.0, 0.0), 3 * f.grid.h, f.grid)
     assert winding(f, loop) == 1
     conj = DiscreteField(u=np.conj(f.u), grid=f.grid, wrap=f.wrap)
     assert winding(conj, loop) == -1
@@ -91,21 +89,45 @@ def test_degree_additivity():
 
 
 def test_lattice_loops_walk_square_boundaries():
-    # each loop is closed, takes unit lattice steps, visits each boundary site
-    # of its square once and runs counterclockwise (shoelace area +side^2)
-    g = build_grid(CellConfig(b=0.5, N=1, n=48))
-    for loop, side in ((cell_boundary_loop(7), 7), (_square_loop((0.3, -1.1), 0.2, g), 10)):
-        assert len(loop) == 4 * side + 1 and np.array_equal(loop[0], loop[-1])
-        assert np.all(np.abs(np.diff(loop, axis=0)).sum(axis=1) == 1)
-        lo = loop.min(axis=0)
-        assert np.array_equal(loop.max(axis=0) - lo, [side, side])
-        assert len({tuple(p) for p in loop[:-1]}) == 4 * side
-        x, y = loop[:, 0], loop[:, 1]
-        assert np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]) == 2 * side**2
+    # the cell boundary loop is closed, takes unit lattice steps, visits each
+    # boundary site once and runs counterclockwise (shoelace area +side^2)
+    loop, side = cell_boundary_loop(7), 7
+    assert len(loop) == 4 * side + 1 and np.array_equal(loop[0], loop[-1])
+    assert np.all(np.abs(np.diff(loop, axis=0)).sum(axis=1) == 1)
+    lo = loop.min(axis=0)
+    assert np.array_equal(loop.max(axis=0) - lo, [side, side])
+    assert len({tuple(p) for p in loop[:-1]}) == 4 * side
+    x, y = loop[:, 0], loop[:, 1]
+    assert np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]) == 2 * side**2
     # a loop given as pairs and the same loop as an array wind alike
     f = synthetic_field(profile="zero1")
-    loop = _square_loop((0.0, 0.0), 3 * f.grid.h, f.grid)
+    loop = _circle_loop((0.0, 0.0), 3 * f.grid.h, f.grid)
     assert winding(f, [tuple(p) for p in loop]) == winding(f, loop) == 1
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(0.0, 1.0))
+def test_circle_loop_hugs_its_ball(fx, fy, fr):
+    # centres anywhere in the cell, seams included, and radii from h to R/4:
+    # the loop is closed, takes 8-neighbour steps, runs counterclockwise and
+    # keeps every site within h/sqrt(2) of the circle of radius r + h/2, so
+    # between r - h and r + 2h from the centre
+    g = build_grid(CellConfig(b=0.5, N=1, n=48))
+    center, r = (fx * g.R, fy * g.R), g.h + fr * (g.R / 4 - g.h)
+    loop = _circle_loop(center, r, g)
+    assert np.array_equal(loop[0], loop[-1])
+    assert np.all(np.abs(np.diff(loop, axis=0)).max(axis=1) == 1)
+    x, y = -g.R / 2 + loop[:, 0] * g.h, -g.R / 2 + loop[:, 1] * g.h
+    assert np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]) > 0.0
+    dist = np.hypot(x - center[0], y - center[1])
+    assert np.all(np.abs(dist - (r + g.h / 2)) <= g.h / math.sqrt(2) + 1e-12)
+    assert r - g.h < dist.min() and dist.max() < r + 2 * g.h
+
+
+def ball_loop_minimum(f, ball):
+    """min |u| on the loop whose winding is the ball's degree."""
+    loop = _circle_loop(ball.center, ball.radius, f.grid)
+    return float(np.abs(wrap_value(f.u, f.wrap, loop[:, 0], loop[:, 1])).min())
 
 
 def brute_force_disk(pts, tol):
@@ -204,17 +226,10 @@ def test_find_balls_trivial_and_synthetic():
     assert math.hypot(*balls[0].center) < 0.05
 
 
-def test_find_balls_grows_a_loop_that_dips(monkeypatch):
+def test_find_balls_grows_a_loop_that_dips():
     # a degree-0 modulus dip diagonally just outside the vortex ball: its disk
-    # stays apart, but the vortex's first square loop passes through it, so
-    # that ball's degree comes from a loop grown until it clears the threshold
-    grown = []
-
-    def ball_degree(field, center, radius, threshold):
-        grown.append(center)
-        return _ball_degree(field, center, radius, threshold)
-
-    monkeypatch.setattr("glcell.vortices._ball_degree", ball_degree)
+    # stays apart, and a square about the vortex would pass through it, but
+    # every ball's loop hugs its own disk and clears the threshold
     g = build_grid(CellConfig(b=0.5, N=1, n=48))
     X, Y = np.meshgrid(g.x1, g.x2, indexing="ij")
     z, dip = X + 1j * Y, np.hypot(X - 7 * g.h, Y - 7 * g.h)
@@ -223,14 +238,31 @@ def test_find_balls_grows_a_loop_that_dips(monkeypatch):
     f = DiscreteField(u=u, grid=g, wrap=WrapRule(n=48, N=1))
     balls = find_balls(f, 0.5)
     assert sorted(ball.degree for ball in balls) == [0, 1]
-    vortex = next(ball for ball in balls if ball.degree == 1)
-    assert grown == [vortex.center]
-    for grow in range(8):
-        loop = _square_loop(vortex.center, vortex.radius + grow * g.h, g)
-        if np.abs(f.u[loop[:, 0], loop[:, 1]]).min() >= 0.5:
-            break
-    assert grow >= 1
-    assert vortex.degree == winding(f, loop)
+    for ball in balls:
+        assert ball_loop_minimum(f, ball) >= 0.5
+        assert ball.degree == winding(f, _circle_loop(ball.center, ball.radius, g))
+
+
+@pytest.mark.parametrize("offset", [5.5, 6.0])
+def test_find_balls_counts_a_neighbours_zero_once(offset):
+    # the trial vortex with modulus min(1, r/8h) and a degree-0 dip
+    # min(1, r_d/2h) centred offset * h along both axes from its zero: the
+    # dip's ball must not wind around the vortex, so the degrees sum to the
+    # boundary winding (a loop grown until it cleared the dip used to count
+    # the vortex twice)
+    g = build_grid(CellConfig(b=0.5, N=1, n=48))
+    f = build_trial(0.5, 1, g)
+    i0, j0 = np.unravel_index(np.argmin(np.abs(f.u)), f.u.shape)
+    xy = np.stack(np.meshgrid(g.x1 - g.x1[i0], g.x2 - g.x2[j0], indexing="ij"))
+    r = np.hypot(*_torus_delta(xy, 0.0, g.R))
+    r_dip = np.hypot(*_torus_delta(xy, offset * g.h, g.R))
+    f.u = (np.exp(1j * np.angle(f.u)) * np.minimum(1.0, r / (8 * g.h))
+           * np.minimum(1.0, r_dip / (2 * g.h)))
+    boundary = winding(f, cell_boundary_loop(g.n))
+    assert boundary == 1
+    balls = find_balls(f, 0.5)
+    assert sum(ball.degree for ball in balls) == boundary
+    assert sorted(ball.degree for ball in balls) == [0, 1]
 
 
 def test_find_balls_trial_lattice():
@@ -244,7 +276,7 @@ def test_find_balls_trial_lattice():
     # each ball sits at a cell center, and the winding on an explicit circle
     # of radius 2 sqrt(b) agrees
     for ball in balls:
-        loop = _square_loop(ball.center, 2.0 * math.sqrt(b), g)
+        loop = _circle_loop(ball.center, 2.0 * math.sqrt(b), g)
         assert winding(f, loop) == 1
     # pairwise disjoint
     for i in range(len(balls)):
@@ -384,7 +416,8 @@ def test_vorticity_flux_is_connection_holonomy(reference_operator):
     f = DiscreteField(u=u, grid=g, wrap=WrapRule(n=n, N=N, alpha=0.4, beta=-0.9))
     op = reference_operator(f.grid, f.wrap)
     holonomy = op.cx * np.roll(op.cy, -1, axis=0) * np.conj(np.roll(op.cx, -1, axis=1) * op.cy)
-    jx, jy = supercurrent(f)
+    dx, dy = covariant_differences(f)
+    jx, jy = (np.conj(f.u) * dx).imag / g.h, (np.conj(f.u) * dy).imag / g.h
     circ = g.h * (jx + np.roll(jy, -1, axis=0) - np.roll(jx, -1, axis=1) - jy)
     v = vorticity(f)
     assert np.max(np.abs(v.mu - (circ - np.angle(holonomy)))) < 1e-13
@@ -413,14 +446,17 @@ def test_boundary_winding_flux_quantization():
 
 def test_ball_degrees_sum_to_boundary_winding(minimizer_b005, minimizer_b002):
     # the ball degrees and the cell-boundary winding both read the solver's
-    # connection, and every unit of flux must be found in some ball
+    # connection, and every unit of flux must be found in some ball, on a
+    # loop that clears the threshold
     fields = [(build_trial(b, N, build_grid(trial_config(b, N))), b)
-              for b, N in ((0.1, 1), (0.04, 4), (0.1, 9))]
+              for b, N in ((0.1, 1), (0.04, 4), (0.1, 9), (0.02, 16))]
     fields += [(minimizer_b005.field, 0.05), (minimizer_b002.field, 0.02)]
     for f, b in fields:
         boundary = winding(f, cell_boundary_loop(f.grid.n))
         assert boundary == f.grid.N
-        assert sum(ball.degree for ball in find_balls(f, b)) == boundary
+        balls = find_balls(f, b)
+        assert sum(ball.degree for ball in balls) == boundary
+        assert all(ball_loop_minimum(f, ball) >= 0.5 for ball in balls)
 
 
 def test_dual_distance_trivial_and_shifted():

@@ -11,9 +11,11 @@ difference goes through a CellOperator, which DiscreteField.operator builds
 afresh on each call (eight length-n vectors, cheap to build), so a replaced
 grid or wrap rule never meets a stale connection.  The solver's kernels,
 energy_and_gradient and line_quartic, form D*D as one neighbour stencil and
-|D d|^2 one axis at a time, in buffers the caller owns.  A solve in another
-gauge conjugates its preconditioner, not this operator
-(minimize._precondition): the energy is exactly gauge covariant.
+|D d|^2 one axis at a time, in buffers the caller owns.  `energy` holds,
+besides u, one complex buffer for D u and one real plane, and rounds as the
+whole-array formulas do.  A solve in another gauge conjugates its
+preconditioner, not this operator (minimize._precondition): the energy is
+exactly gauge covariant.
 """
 
 from __future__ import annotations
@@ -147,12 +149,19 @@ def energy(field: DiscreteField, b: float) -> EnergyBreakdown:
 
 
 def _breakdown(op: CellOperator, u: np.ndarray, b: float) -> EnergyBreakdown:
-    """The energy of u on op's connection, each sum compensated."""
+    """The energy of u on op's connection, each sum compensated: D u one axis
+    at a time in one complex buffer (one D), the squares in one real plane."""
     g = op.grid
-    dx, dy = op.D(u)
-    kinetic = b * (_accurate_sum(np.abs(dx) ** 2) + _accurate_sum(np.abs(dy) ** 2))
-    rho2 = np.abs(u) ** 2
-    potential = 0.5 * g.h**2 * _accurate_sum((1.0 - rho2) ** 2)
+    d, plane = np.empty(u.shape, np.complex128), np.empty(u.shape)
+
+    def squared(z):  # |z|^2 in plane, through the same roundings as np.abs(z) ** 2
+        return np.square(np.abs(z, out=plane), out=plane)
+
+    sx, sy = (_accurate_sum(squared(op.D_axis(u, axis, d))) for axis in (0, 1))
+    op.evaluations += 1
+    kinetic = b * (sx + sy)
+    np.subtract(1.0, squared(u), out=plane)
+    potential = 0.5 * g.h**2 * _accurate_sum(np.square(plane, out=plane))
     return EnergyBreakdown(kinetic=kinetic, potential=potential, offset=-0.5 * g.area)
 
 

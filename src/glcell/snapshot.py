@@ -4,7 +4,8 @@ Layout: the ASCII magic "GLCELL1" followed by a one-line JSON header and a
 single newline, then the raw payload: 2 * n^2 little-endian float64 values,
 interleaved re/im, column-major from (i=0, j=0) with i fastest.  The payload
 is exactly 16 * n^2 bytes; readers reject any other length, and any header
-version but 1.
+version but 1.  Both directions stream the payload in blocks of columns of
+u, so besides the field they hold one block, not a second full-size copy.
 
 The header carries the wrap twists alpha and beta, so a field in a twisted
 magnetic-periodic space reads back with its energy.  Files written before the
@@ -33,10 +34,12 @@ class SnapshotError(ValueError):
     pass
 
 
-def _payload(u: np.ndarray) -> np.ndarray:
-    # i fastest: the C-order memory of u.T, made in one copy; complex128
-    # memory is adjacent (re, im) float64 pairs, here little-endian on every host
-    return np.asarray(np.transpose(u), dtype="<c16", order="C")
+_BLOCK = 64  # columns of u per payload block: 0.58 MB at n = 568
+
+
+def _blocks(n: int):
+    """Column slices of u, in payload order, _BLOCK columns at a time."""
+    return (slice(j, min(j + _BLOCK, n)) for j in range(0, n, _BLOCK))
 
 
 def write_snapshot(path, field: DiscreteField, b: float) -> None:
@@ -52,7 +55,10 @@ def write_snapshot(path, field: DiscreteField, b: float) -> None:
         fh.write(MAGIC)
         fh.write(json.dumps(header).encode("ascii"))
         fh.write(b"\n")
-        fh.write(_payload(field.u))
+        # i fastest: each block is the C-order memory of u[:, cols].T; complex128
+        # memory is adjacent (re, im) float64 pairs, here little-endian on every host
+        for cols in _blocks(g.n):
+            fh.write(np.asarray(field.u[:, cols].T, dtype="<c16", order="C"))
 
 
 def read_snapshot(path) -> tuple[DiscreteField, float]:
@@ -73,12 +79,15 @@ def read_snapshot(path) -> tuple[DiscreteField, float]:
                                 f"sqrt(2 pi N)={config.R!r}")
         n = config.n
         size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size == 16 * n * n:  # the payload, i fastest, is the C-order memory of u.T
-            u_t = np.empty((n, n), dtype="<c16")
-            size = fh.readinto(u_t)
+        if size == 16 * n * n:  # each block, i fastest, is the C-order memory of u[:, cols].T
+            u = np.empty((n, n), np.complex128)
+            block, size = np.empty((min(_BLOCK, n), n), dtype="<c16"), 0
+            for cols in _blocks(n):
+                rows = block[:cols.stop - cols.start]
+                size += fh.readinto(rows)
+                u[:, cols] = rows.T
         if size != 16 * n * n:
             raise SnapshotError(f"payload length mismatch: got {size}, want {16 * n * n}")
-    u = np.ascontiguousarray(u_t.T, dtype=np.complex128)
     grid = build_grid(config)
     wrap = WrapRule(n=n, N=grid.N, alpha=meta["alpha"], beta=meta["beta"])
     return DiscreteField(u=u, grid=grid, wrap=wrap), meta["b"]

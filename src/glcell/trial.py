@@ -17,6 +17,10 @@ plaquette curl of the total connection is exactly 2*pi*(pole indicator) and
 the wrap mismatches are exactly constant along each edge (alpha, beta).
 This lattice solve is the only Green function here: its ring checks (log
 slope, residual, Dirichlet energy) are in the tests.
+
+Each stage holds its inputs, its result and at most one full-size scratch
+array (phi reuses a link field's buffer, chi the gauge factor's imaginary
+plane), and every value rounds as in the whole-array formulas.
 """
 
 from __future__ import annotations
@@ -82,26 +86,29 @@ def build_phase(grid: Grid, N: int) -> PhaseField:
     if m % 2:
         raise TrialError(f"samples per cell side must be even, got {m}")
 
+    # perp-grad part: x-link between plaquettes below/above, y-link left/right,
+    # differenced on one cell's stream function and tiled over the N cells
     H = _dual_stream_function(m, grid.h)
-    H = np.tile(H, (k, k))  # periodic tiling over the N cells
-
-    # perp-grad part: x-link between plaquettes below/above, y-link left/right
-    cx = -(H - np.roll(H, 1, axis=1))
-    cy = H - np.roll(H, 1, axis=0)
     theta_x, theta_y = link_phases(grid)
-    omega_x = cx + theta_x
-    omega_y = cy + theta_y
+    omega_x = np.empty((n, n))
+    omega_x.reshape(k, m, k, m)[...] = -(H - np.roll(H, 1, axis=1))[:, None]
+    omega_x += theta_x
+    omega_y = np.empty((n, n))
+    omega_y.reshape(k, m, k, m)[...] = (H - np.roll(H, 1, axis=0))[:, None]
+    omega_y += theta_y
+    hol_x = np.sum(omega_x, axis=0)           # (n,) holonomy per height j
+    hol_y = np.sum(omega_y, axis=1)           # (n,) per column i
 
-    # comb spanning tree: along row j=0, then up each column
-    phi = np.empty((n, n))
+    # comb spanning tree: along row j=0, then up each column; phi takes
+    # omega_x's buffer
     row0 = np.concatenate(([0.0], np.cumsum(omega_x[:-1, 0])))
+    phi = omega_x
+    np.cumsum(omega_y[:, :-1], axis=1, out=phi[:, 1:])
+    phi[:, 1:] += row0[:, None]
     phi[:, 0] = row0
-    phi[:, 1:] = row0[:, None] + np.cumsum(omega_y[:, :-1], axis=1)
 
     # wrap mismatches: holonomy minus the magnetic wrap phase must be a
     # constant (mod 2*pi) along each edge
-    hol_x = np.sum(omega_x, axis=0)           # (n,) per height j
-    hol_y = np.sum(omega_y, axis=1)           # (n,) per column i
     mis_x = _wrap_pi(hol_x - grid.R * grid.x2 / 2.0)
     mis_y = _wrap_pi(hol_y + grid.R * grid.x1 / 2.0)
     alpha = float(np.angle(np.mean(np.exp(1j * mis_x))))
@@ -129,18 +136,28 @@ def cutoff_profile(grid: Grid, N: int, core_radius: float) -> np.ndarray:
     local = (np.arange(grid.n) % m) - m // 2
     d = grid.h * local
     r = np.hypot(d[:, None], d[None, :])
-    return np.minimum(1.0, r / core_radius)
+    r /= core_radius
+    return np.minimum(r, 1.0, out=r)
 
 
 def build_trial(b: float, N: int, grid: Grid) -> DiscreteField:
     """Gauged vortex-lattice trial state u in the untwisted magnetic-periodic space."""
     phase = build_phase(grid, N)
-    rho = cutoff_profile(grid, N, 2.0 * math.sqrt(b))
-    v = rho * np.exp(1j * phase.phi)
-    v[phase.pole_sites[:, 0], phase.pole_sites[:, 1]] = 0.0  # rho = 0 at the poles
-    chi = -(phase.alpha * grid.x1[:, None] + phase.beta * grid.x2[None, :]) / grid.R
-    u = np.exp(1j * chi) * v
-    return DiscreteField(u=u, grid=grid, wrap=WrapRule(n=grid.n, N=N))
+    u = np.zeros((grid.n, grid.n), np.complex128)
+    u.imag = phase.phi
+    np.exp(u, out=u)
+    np.multiply(cutoff_profile(grid, N, 2.0 * math.sqrt(b)), u, out=u)
+    u[phase.pole_sites[:, 0], phase.pole_sites[:, 1]] = 0.0  # rho = 0 at the poles
+    alpha, beta = phase.alpha, phase.beta
+    del phase
+    e = np.zeros_like(u)  # the gauge factor e^{i chi}, chi formed in its imaginary plane
+    chi = e.imag
+    np.add(alpha * grid.x1[:, None], beta * grid.x2[None, :], out=chi)
+    np.negative(chi, out=chi)
+    chi /= grid.R
+    np.exp(e, out=e)
+    # e * u, not u * e: numpy's complex product rounds by operand order
+    return DiscreteField(u=np.multiply(e, u, out=e), grid=grid, wrap=WrapRule(n=grid.n, N=N))
 
 
 def predicted_density(b: float) -> float:

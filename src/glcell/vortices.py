@@ -239,8 +239,9 @@ def _components(mask: np.ndarray) -> list[np.ndarray]:
     site = np.arange(i.size)
     index = np.full(mask.shape, -1, dtype=np.intp)
     index[i, j] = site
-    below = np.roll(index, -1, axis=0)[i, j]
-    right = np.roll(index, -1, axis=1)[i, j]
+    n0, n1 = mask.shape
+    below = index[(i + 1) % n0, j]
+    right = index[i, (j + 1) % n1]
     a = np.concatenate([site[below >= 0], site[right >= 0]])
     b = np.concatenate([below[below >= 0], right[right >= 0]])
     parent = np.arange(i.size)
@@ -471,8 +472,9 @@ def coverage_gaps(field: DiscreteField, balls, b: float) -> int:
     k, m = _square_grid(g)
     side = g.R / k
     margin = math.sqrt(b)
-    absu = np.abs(field.u)
-    flagged = np.argwhere(np.abs(absu - 1.0) >= b ** (1.0 / 16.0))
+    gap = np.abs(field.u)  # ||u| - 1|, formed in the |u| buffer
+    gap -= 1.0
+    flagged = np.argwhere(np.abs(gap, out=gap) >= b ** (1.0 / 16.0))
     x = -g.R / 2 + flagged[:, 0] * g.h
     y = -g.R / 2 + flagged[:, 1] * g.h
     dx1 = (x + g.R / 2) % side

@@ -10,6 +10,7 @@ from glcell.energy import (
     CellOperator,
     DiscreteField,
     EnergyError,
+    _breakdown,
     abs2,
     covariant_differences,
     density_moments,
@@ -20,6 +21,7 @@ from glcell.energy import (
     redot,
 )
 from glcell.grid import CellConfig, ConfigError, WrapRule, build_grid, link_phases, wrap_value
+from glcell.trial import build_trial, trial_config
 
 TWIST = (0.3, -0.7)  # wrap twists (alpha, beta)
 
@@ -330,3 +332,27 @@ def test_replaced_wrap_never_reuses_connection():
     # so is a replaced grid, even one with equal values
     f.grid = build_grid(CellConfig(b=0.5, N=1, n=32))
     assert f.operator().grid is f.grid and energy(f, b).total == expected
+
+
+@pytest.mark.parametrize("kind", ["random", "twisted", "real", "trial"])
+def test_energy_matches_covariant_difference_formula(kind):
+    # energy() forms D u one axis at a time in one buffer; its sums are those
+    # of the whole-array formula on covariant_differences, bit for bit
+    b = 0.9
+    if kind == "trial":
+        b = 0.25
+        g = build_grid(trial_config(b, 4))
+        f = build_trial(b, 4, g)
+    else:
+        f = make_field(b=b, N=4, n=48, seed=3, twist=TWIST if kind == "twisted" else (0.0, 0.0))
+        if kind == "real":
+            f.u = f.u.real.copy()
+    dx, dy = covariant_differences(f)
+    kinetic = b * (math.fsum(np.sum(np.abs(dx) ** 2, axis=0))
+                   + math.fsum(np.sum(np.abs(dy) ** 2, axis=0)))
+    potential = 0.5 * f.grid.h**2 * math.fsum(np.sum((1.0 - np.abs(f.u) ** 2) ** 2, axis=0))
+    bd = energy(f, b)
+    assert (bd.kinetic, bd.potential) == (kinetic, potential)
+    op = f.operator()
+    assert _breakdown(op, f.u, b) == bd
+    assert op.evaluations == 1  # one D

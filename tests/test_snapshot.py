@@ -66,13 +66,24 @@ def test_round_trip_property(tmp_path_factory, drawn):
 
 
 def test_payload_bytes_are_column_major_little_endian(tmp_path):
-    # the payload written from one F-order buffer is the bytes of the reference layout
-    f, b = make_field(n=37, seed=4)
+    # the payload written in column blocks is the bytes of the reference
+    # layout, within one block and past one (n = 101 ends in a part block)
+    for n in (37, 101):
+        f, b = make_field(n=n, seed=4)
+        p = tmp_path / "a.glc"
+        write_snapshot(p, f, b)
+        payload = p.read_bytes().split(b"\n", 1)[1]
+        assert payload == f.u.astype("<c16").ravel(order="F").tobytes()
+        assert read_snapshot(p)[0].u.flags.c_contiguous
+
+
+def test_round_trip_past_one_block(tmp_path):
+    f, b = make_field(n=101, seed=5)
     p = tmp_path / "a.glc"
     write_snapshot(p, f, b)
-    payload = p.read_bytes().split(b"\n", 1)[1]
-    assert payload == f.u.astype("<c16").ravel(order="F").tobytes()
-    assert read_snapshot(p)[0].u.flags.c_contiguous
+    back = read_snapshot(p)[0].u
+    assert back.dtype == np.complex128 and back.flags.c_contiguous
+    assert back.tobytes() == f.u.tobytes()
 
 
 def test_header_format(tmp_path):
@@ -107,6 +118,16 @@ def test_payload_length_mismatch(tmp_path):
         read_snapshot(p)
     p.write_bytes(blob + b"\x00" * 4)
     with pytest.raises(SnapshotError, match="payload length mismatch"):
+        read_snapshot(p)
+
+
+def test_payload_one_byte_short(tmp_path):
+    # the length is checked before any block is read
+    f, b = make_field(n=101)
+    p = tmp_path / "a.glc"
+    write_snapshot(p, f, b)
+    p.write_bytes(p.read_bytes()[:-1])
+    with pytest.raises(SnapshotError, match="payload length mismatch: got 163215, want 163216"):
         read_snapshot(p)
 
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from glcell.energy import energy
-from glcell.grid import CellConfig, WrapRule, build_grid
+from glcell.grid import CellConfig, WrapRule, build_grid, link_phases
 from glcell.trial import (
     CELL_SIDE,
     TWO_PI,
     TrialError,
+    _wrap_pi,
     _dual_stream_function,
     build_phase,
     build_trial,
@@ -172,3 +173,42 @@ def test_build_phase_grid_mismatch():
     g = build_grid(CellConfig(b=0.5, N=4, n=66))
     with pytest.raises(TrialError, match="even"):
         build_phase(g, 4)
+
+
+def reference_trial(b, N, grid):
+    """(u, phi, alpha, beta) built with full-size temporaries: the tiled
+    stream function, np.roll differences and whole-array products."""
+    n, k = grid.n, math.isqrt(N)
+    m = n // k
+    H = np.tile(_dual_stream_function(m, grid.h), (k, k))
+    theta_x, theta_y = link_phases(grid)
+    omega_x = -(H - np.roll(H, 1, axis=1)) + theta_x
+    omega_y = (H - np.roll(H, 1, axis=0)) + theta_y
+    phi = np.empty((n, n))
+    row0 = np.concatenate(([0.0], np.cumsum(omega_x[:-1, 0])))
+    phi[:, 0] = row0
+    phi[:, 1:] = row0[:, None] + np.cumsum(omega_y[:, :-1], axis=1)
+    mis_x = _wrap_pi(np.sum(omega_x, axis=0) - grid.R * grid.x2 / 2.0)
+    mis_y = _wrap_pi(np.sum(omega_y, axis=1) + grid.R * grid.x1 / 2.0)
+    alpha = float(np.angle(np.mean(np.exp(1j * mis_x))))
+    beta = float(np.angle(np.mean(np.exp(1j * mis_y))))
+    d = grid.h * ((np.arange(n) % m) - m // 2)
+    rho = np.minimum(1.0, np.hypot(d[:, None], d[None, :]) / (2.0 * math.sqrt(b)))
+    v = rho * np.exp(1j * phi)
+    centers = m // 2 + m * np.arange(k)
+    v[np.ix_(centers, centers)] = 0.0
+    chi = -(alpha * grid.x1[:, None] + beta * grid.x2[None, :]) / grid.R
+    return np.exp(1j * chi) * v, phi, alpha, beta
+
+
+@pytest.mark.parametrize("b, N", [(0.04, 4), (0.25, 4), (0.05, 16)])
+def test_trial_matches_full_size_reference(b, N):
+    # the in-place construction rounds exactly as the full-size one
+    g = build_grid(trial_config(b, N))
+    u, phi, alpha, beta = reference_trial(b, N, g)
+    phase = build_phase(g, N)
+    assert phase.phi.tobytes() == phi.tobytes()
+    assert (phase.alpha, phase.beta) == (alpha, beta)
+    f = build_trial(b, N, g)
+    assert f.u.flags.c_contiguous
+    assert f.u.tobytes() == u.tobytes()

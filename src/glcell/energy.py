@@ -169,7 +169,7 @@ def redot(a: np.ndarray, c: np.ndarray) -> float:
     """Re <a, c> = sum of Re(conj(a) c) over all sites, for two real or two complex arrays."""
     a = np.ascontiguousarray(a).view(np.float64).ravel()
     c = np.ascontiguousarray(c).view(np.float64).ravel()
-    return float(np.dot(a, c))  # BLAS: 0.09 ms at n = 360 on 2 cores, where einsum took 0.22
+    return float(np.einsum("i,i->", a, c))  # no BLAS ddot: its thread split sets the rounding
 
 
 def abs2(z: np.ndarray, out=None, tmp=None) -> np.ndarray:

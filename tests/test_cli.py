@@ -291,6 +291,19 @@ def test_inputs_that_would_change_nothing_are_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+
+@pytest.mark.parametrize("command", ["trial", "sweep"])
+@pytest.mark.parametrize("spc", [0, -4])
+def test_samples_per_core_below_one_is_rejected(command, spc, tmp_path, capsys):
+    # it used to fall through to the 32-sample floor, the same n as 8
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"b": 0.5, "N": 1, "samples_per_core": spc}))
+    code, _, err = run([command, "--config", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert code == EXIT_ERROR
+    assert f"error: samples_per_core must be >= 1, got {spc}" in err
+    assert not (tmp_path / "o").exists()
+
+
 # config-file values that int() used to truncate or parse, or that crashed
 _N_CASES = [({"b": 0.25, "N": 4.7}, "N must be an integer, got 4.7"),
             ({"b": 0.25, "N": "4"}, "N must be an integer, got '4'"),

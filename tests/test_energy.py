@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glcell
 from glcell.energy import (
     CellOperator,
     DiscreteField,
@@ -356,3 +361,21 @@ def test_energy_matches_covariant_difference_formula(kind):
     op = f.operator()
     assert _breakdown(op, f.u, b) == bd
     assert op.evaluations == 1  # one D
+
+
+def test_redot_is_the_same_on_any_blas_thread_count():
+    # OpenBLAS splits a long ddot across its threads, and the split changes
+    # the sum's rounding, so a solve would depend on the host's core count
+    src = str(Path(glcell.__file__).resolve().parents[1])
+    code = ("import numpy as np; from glcell.energy import redot; "
+            "rng = np.random.default_rng(7); "
+            "a, c = (rng.standard_normal((360, 360)) + 1j * rng.standard_normal((360, 360)) "
+            "for _ in range(2)); print(redot(a, c).hex())")
+    sums = set()
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        sums.add(proc.stdout.strip())
+    assert len(sums) == 1

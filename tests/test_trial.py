@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from glcell.energy import energy
-from glcell.grid import CellConfig, WrapRule, build_grid, link_phases
+from glcell.energy import DiscreteField, energy
+from glcell.grid import CellConfig, ConfigError, WrapRule, build_grid, link_phases
 from glcell.trial import (
     CELL_SIDE,
     TWO_PI,
     TrialError,
+    _square_poles,
+    _stream_function,
     _wrap_pi,
-    _dual_stream_function,
     build_phase,
     build_trial,
     predicted_density,
@@ -19,9 +20,9 @@ from glcell.trial import (
 from glcell.vortices import cell_boundary_loop, winding
 
 
-# checks of the cell Green function the trial state is built from: the
-# 5-point solve of Delta H = 2*pi*delta - 1 on the plaquette centers of Q1,
-# with the pole on plaquette (m/2, m/2)
+# checks of the Green function the trial state is built from: the 5-point
+# solve of Delta H = 2*pi*delta - 1 on the plaquette centers of the torus,
+# at N = 1 (the torus is the unit cell Q1), with the pole on plaquette (M/2, M/2)
 
 M = 256
 HC = CELL_SIDE / M
@@ -29,7 +30,9 @@ HC = CELL_SIDE / M
 
 @pytest.fixture(scope="module")
 def green():
-    return _dual_stream_function(M, HC)
+    g = build_grid(CellConfig(b=0.25, N=1, n=M))
+    assert g.h == HC
+    return _stream_function(g, np.array([[M // 2, M // 2]]))
 
 
 def pole_offsets(shift: float = 0.0) -> np.ndarray:
@@ -83,7 +86,7 @@ def test_phase_wrap_compliance():
     for b, N in ((0.1, 4), (0.25, 1)):
         cfg = trial_config(b, N)
         g = build_grid(cfg)
-        phase = build_phase(g, N)
+        phase = build_phase(g, _square_poles(g.n, N))
         assert phase.alpha_spread < 1e-9
         assert phase.beta_spread < 1e-9
 
@@ -98,7 +101,7 @@ def test_trial_requires_square_N():
 def test_trial_zeros_at_poles():
     cfg = trial_config(0.1, 4)
     g = build_grid(cfg)
-    phase = build_phase(g, 4)
+    phase = build_phase(g, _square_poles(g.n, 4))
     f = build_trial(0.1, 4, g)
     vals = f.u[phase.pole_sites[:, 0], phase.pole_sites[:, 1]]
     assert np.max(np.abs(vals)) == 0.0
@@ -136,7 +139,7 @@ def test_twisted_and_gauged_energies_agree(reference_operator):
     for N in (4, 1):
         g = build_grid(trial_config(b, N))
         u = build_trial(b, N, g).u
-        phase = build_phase(g, N)
+        phase = build_phase(g, _square_poles(g.n, N))
         chi = -(phase.alpha * g.x1[:, None] + phase.beta * g.x2[None, :]) / g.R
         v = np.exp(-1j * chi) * u
         op = reference_operator(g, WrapRule(n=g.n, N=N, alpha=phase.alpha, beta=phase.beta))
@@ -165,22 +168,75 @@ def test_trial_config_shapes():
         trial_config(0.1, 3)
 
 
+@pytest.mark.parametrize("spc", [0, -4])
+def test_trial_config_rejects_samples_per_core_below_one(spc):
+    with pytest.raises(ConfigError, match="samples_per_core must be >= 1"):
+        trial_config(0.5, 1, samples_per_core=spc)
+
+
 def test_build_phase_grid_mismatch():
-    # the grid must split into sqrt(N) x sqrt(N) cells of an even side
+    # the square pole set needs a grid that splits into sqrt(N) x sqrt(N) cells
     g = build_grid(CellConfig(b=0.5, N=4, n=65))
     with pytest.raises(TrialError, match="divisible"):
-        build_phase(g, 4)
+        build_trial(0.5, 4, g)
+
+
+def test_odd_cell_side_builds():
+    # on the torus solve a cell side m = 33 needs no half-cell symmetry
     g = build_grid(CellConfig(b=0.5, N=4, n=66))
-    with pytest.raises(TrialError, match="even"):
-        build_phase(g, 4)
+    phase = build_phase(g, _square_poles(g.n, 4))
+    assert phase.alpha_spread < 1e-12
+    assert phase.beta_spread < 1e-12
+    assert winding(build_trial(0.5, 4, g), cell_boundary_loop(g.n)) == 4
 
 
-def reference_trial(b, N, grid):
-    """(u, phi, alpha, beta) built with full-size temporaries: the tiled
-    stream function, np.roll differences and whole-array products."""
+def test_build_phase_needs_one_pole_per_flux_quantum():
+    g = build_grid(CellConfig(b=0.5, N=4, n=64))
+    for poles in (_square_poles(64, 4)[:3], _square_poles(64, 4).T):
+        with pytest.raises(TrialError, match=r"need N=4 pole sites as an \(N, 2\) array"):
+            build_phase(g, poles)
+
+
+def cell_stream_function(m, hc):
+    """One unit cell's stream function, 5-point Delta H = 2*pi/hc^2 * 1_pole - 1
+    with the pole on plaquette (m/2, m/2): the trial's construction before the
+    solve on the whole torus."""
+    rhs = -np.ones((m, m))
+    rhs[m // 2, m // 2] += TWO_PI / hc**2
+    lam = -4.0 * np.sin(math.pi * np.fft.fftfreq(m)[:, None]) ** 2 \
+          - 4.0 * np.sin(math.pi * np.fft.fftfreq(m)[None, :]) ** 2
+    lam = lam / hc**2
+    lam[0, 0] = 1.0
+    spec = np.fft.fft2(rhs) / lam
+    spec[0, 0] = 0.0
+    return np.real(np.fft.ifft2(spec))
+
+
+def tiled_cell_parts(grid, N):
+    """(H, distance to the pole): one cell's stream function tiled over the
+    sqrt(N) x sqrt(N) cells, and each site's distance to its own cell's center."""
     n, k = grid.n, math.isqrt(N)
     m = n // k
-    H = np.tile(_dual_stream_function(m, grid.h), (k, k))
+    d = grid.h * ((np.arange(n) % m) - m // 2)
+    return np.tile(cell_stream_function(m, grid.h), (k, k)), np.hypot(d[:, None], d[None, :])
+
+
+def torus_parts(grid, N):
+    """(H, distance to the pole): the torus solve, and each site's distance to
+    the nearest pole site over the whole torus (minimal image per axis)."""
+    n, poles = grid.n, _square_poles(grid.n, N)
+    dist = np.full((n, n), np.inf)
+    for p in poles:
+        d0, d1 = (grid.h * ((np.arange(n) - p[a] + n // 2) % n - n // 2) for a in (0, 1))
+        dist = np.minimum(dist, np.hypot(d0[:, None], d1[None, :]))
+    return _stream_function(grid, poles), dist
+
+
+def reference_trial(b, N, grid, parts=torus_parts):
+    """(u, phi, alpha, beta) built with full-size temporaries: np.roll
+    differences of the stream function and whole-array products."""
+    n = grid.n
+    H, dist = parts(grid, N)
     theta_x, theta_y = link_phases(grid)
     omega_x = -(H - np.roll(H, 1, axis=1)) + theta_x
     omega_y = (H - np.roll(H, 1, axis=0)) + theta_y
@@ -192,11 +248,10 @@ def reference_trial(b, N, grid):
     mis_y = _wrap_pi(np.sum(omega_y, axis=1) + grid.R * grid.x1 / 2.0)
     alpha = float(np.angle(np.mean(np.exp(1j * mis_x))))
     beta = float(np.angle(np.mean(np.exp(1j * mis_y))))
-    d = grid.h * ((np.arange(n) % m) - m // 2)
-    rho = np.minimum(1.0, np.hypot(d[:, None], d[None, :]) / (2.0 * math.sqrt(b)))
+    rho = np.minimum(1.0, dist / (2.0 * math.sqrt(b)))
     v = rho * np.exp(1j * phi)
-    centers = m // 2 + m * np.arange(k)
-    v[np.ix_(centers, centers)] = 0.0
+    poles = _square_poles(n, N)
+    v[poles[:, 0], poles[:, 1]] = 0.0
     chi = -(alpha * grid.x1[:, None] + beta * grid.x2[None, :]) / grid.R
     return np.exp(1j * chi) * v, phi, alpha, beta
 
@@ -206,9 +261,20 @@ def test_trial_matches_full_size_reference(b, N):
     # the in-place construction rounds exactly as the full-size one
     g = build_grid(trial_config(b, N))
     u, phi, alpha, beta = reference_trial(b, N, g)
-    phase = build_phase(g, N)
+    phase = build_phase(g, _square_poles(g.n, N))
     assert phase.phi.tobytes() == phi.tobytes()
     assert (phase.alpha, phase.beta) == (alpha, beta)
     f = build_trial(b, N, g)
     assert f.u.flags.c_contiguous
     assert f.u.tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize("b, N", [(0.04, 4), (0.25, 4), (0.05, 16), (0.02, 16)])
+def test_torus_trial_matches_tiled_cell_trial(b, N):
+    # the torus solve reproduces the trial built from one cell's solve, tiled
+    g = build_grid(trial_config(b, N))
+    u = reference_trial(b, N, g, parts=tiled_cell_parts)[0]
+    f = build_trial(b, N, g)
+    assert float(np.max(np.abs(f.u - u))) < 1e-12
+    tiled = energy(DiscreteField(u=u, grid=g, wrap=f.wrap), b).total
+    assert abs(energy(f, b).total - tiled) <= 1e-14 * abs(tiled)

@@ -16,7 +16,6 @@ from .analysis import (
     aggregate_tiles,
     build_sweep,
     density_profile_check,
-    derivative_bracket,
     potential_check,
     r0,
     run_sweep,

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,28 +52,6 @@ def r0(b: float, g_value: float) -> float:
     return max(t1, t2, t3)
 
 
-def derivative_bracket(sweep, b: float, delta: float) -> tuple[float, float, float]:
-    """(lower, upper, midpoint) secant bracket of g'(b) from sweep points.
-
-    Concavity makes the forward slope a lower and the backward slope an
-    upper bound; noisy estimates may violate the ordering slightly, which
-    callers should flag rather than hide.
-    """
-    points = sweep.points if isinstance(sweep, SweepReport) else list(sweep)
-    values = {}
-    for p in points:
-        values[round(p.b, 12)] = p.g_est
-    try:
-        g_lo = values[round(b - delta, 12)]
-        g_mid = values[round(b, 12)]
-        g_hi = values[round(b + delta, 12)]
-    except KeyError as exc:
-        raise AnalysisError(f"missing sweep point near b={exc.args[0]}") from exc
-    lower = (g_hi - g_mid) / delta
-    upper = (g_mid - g_lo) / delta
-    return lower, upper, 0.5 * (lower + upper)
-
-
 def potential_check(field: DiscreteField, b: float) -> dict:
     """Mean of (1 - |u|^2)^2 against the budget b|log b|."""
     _, _, mpot = density_moments(field)
@@ -98,42 +76,48 @@ def density_profile_check(field: DiscreteField) -> dict:
 
 @dataclass
 class SweepReport:
-    """g(b) estimates over increasing b, with brackets and acceptance flags."""
+    """g(b) estimates over increasing b.  Each point carries its r0 and
+    acceptance flags and, where build_sweep found one, its g'(b) bracket."""
 
     points: list[GCurvePoint]
-    brackets: dict = field(default_factory=dict)   # b -> (lower, upper, mid)
-    r0_values: dict = field(default_factory=dict)  # b -> r0
-    flags: dict = field(default_factory=dict)      # b -> list of strings
 
     def __post_init__(self):
         bs = [p.b for p in self.points]
         if bs != sorted(bs) or len(set(bs)) != len(bs):
             raise AnalysisError("sweep points must have strictly increasing b")
 
+    @property
+    def brackets(self) -> dict:
+        """b -> (lower, upper, midpoint) at each point with a bracket."""
+        return {p.b: (p.d_lower, p.d_upper, 0.5 * (p.d_lower + p.d_upper))
+                for p in self.points if p.d_lower is not None}
+
 
 def build_sweep(points: list[GCurvePoint]) -> SweepReport:
-    """Assemble a report from raw g-curve points: brackets, r0, flags."""
-    points = sorted(points, key=lambda p: p.b)
-    rep = SweepReport(points=points)
+    """A report on sorted copies of points, each given its r0 and flags.
+
+    A point whose neighbours lie at one distance d on both sides gets the
+    secant bracket d_lower = (g(b+d) - g(b))/d <= g'(b) <= (g(b) - g(b-d))/d
+    = d_upper, which g's concavity makes a lower and an upper bound; noisy
+    estimates may violate the ordering slightly, which is flagged beyond
+    1e-3 rather than hidden.  The caller's points are not changed.
+    """
+    points = sorted((replace(p, flags=list(p.flags)) for p in points), key=lambda p: p.b)
+    rep = SweepReport(points=points)  # the order is checked before any r0
     for p in points:
-        rep.r0_values[p.b] = r0(p.b, p.g_est)
-        flags = list(p.flags)
+        p.r0 = r0(p.b, p.g_est)
         ratio = (p.g_est + 0.5) / (0.5 * p.b * abs(math.log(p.b)))
         if not (0.6 <= ratio <= 1.4):
-            flags.append("asymptotic ratio outside [0.6, 1.4]")
-        rep.flags[p.b] = flags
-    for i in range(1, len(points) - 1):
-        b = points[i].b
-        d_lo = b - points[i - 1].b
-        d_hi = points[i + 1].b - b
-        if abs(d_lo - d_hi) <= 1e-12:
-            lower, upper, mid = derivative_bracket(rep, b, d_lo)
-            rep.brackets[b] = (lower, upper, mid)
-            points[i].d_lower, points[i].d_upper = lower, upper
-            if lower > upper + 1e-3:
-                rep.flags[b].append("bracket ordering violated beyond noise")
+            p.flags.append("asymptotic ratio outside [0.6, 1.4]")
+    for lo, p, hi in zip(points, points[1:], points[2:]):
+        delta = p.b - lo.b
+        if abs(delta - (hi.b - p.b)) <= 1e-12:
+            p.d_lower = (hi.g_est - p.g_est) / delta
+            p.d_upper = (p.g_est - lo.g_est) / delta
+            if p.d_lower > p.d_upper + 1e-3:
+                p.flags.append("bracket ordering violated beyond noise")
     if len(points) == 1:
-        rep.flags[points[0].b].append("insufficient points for derivative bracket")
+        points[0].flags.append("insufficient points for derivative bracket")
     return rep
 
 
@@ -184,24 +168,21 @@ _CSV_COLUMNS = [
 
 
 def sweep_rows(report: SweepReport) -> list[dict]:
-    rows = []
-    for p in report.points:
-        rows.append({
-            "b": p.b,
-            "N": p.N,
-            "n": p.n,
-            "g_est": p.g_est,
-            "g_trial": p.g_trial,
-            "d_lower": p.d_lower,
-            "d_upper": p.d_upper,
-            "pot": p.potential_moment,
-            "r0": report.r0_values.get(p.b),
-            "zeta": p.zeta,
-            "iterations": p.iterations,
-            "stop_reason": p.stop_reason,
-            "flags": ";".join(report.flags.get(p.b, [])),
-        })
-    return rows
+    return [{
+        "b": p.b,
+        "N": p.N,
+        "n": p.n,
+        "g_est": p.g_est,
+        "g_trial": p.g_trial,
+        "d_lower": p.d_lower,
+        "d_upper": p.d_upper,
+        "pot": p.potential_moment,
+        "r0": p.r0,
+        "zeta": p.zeta,
+        "iterations": p.iterations,
+        "stop_reason": p.stop_reason,
+        "flags": ";".join(p.flags),
+    } for p in report.points]
 
 
 def sweep_to_csv(report: SweepReport) -> str:

@@ -100,7 +100,7 @@ def _solver_settings(cfg: dict) -> SolverSettings:
 
 def cmd_minimize(args) -> int:
     cfg = _load_config(args)
-    kind = cfg.get("init", "uniform")
+    kind = cfg.get("init", "trial")
     if "seed" in cfg and kind != "random":
         raise ConfigError(f"seed applies only to the random init, not to {kind!r}")
     config = _cell_config(cfg)
@@ -126,6 +126,7 @@ def cmd_minimize(args) -> int:
         "restarts": res.restarts,
         "operator_evals": res.operator_evals,
         "coarse": res.coarse.record() if res.coarse else None,
+        "wall_s": res.wall_time,
     })
     if res.converged:
         return EXIT_OK
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--n", type=int)
     p_min.add_argument("--seed", type=int)
     solver(p_min)
-    p_min.add_argument("--init", choices=["uniform", "random", "trial"])
+    p_min.add_argument("--init", choices=["trial", "random"])
     p_min.set_defaults(func=cmd_minimize)
 
     p_tr = sub.add_parser("trial", help="build the vortex-lattice trial state")

@@ -122,16 +122,17 @@ class MinimizationResult:
 
 @dataclass
 class GCurvePoint:
-    """One point of the g(b) record, with diagnostics."""
+    """One point of the g(b) record, with diagnostics.  build_sweep sets r0,
+    the secant bracket d_lower <= g'(b) <= d_upper and the sweep's flags."""
 
     b: float
     N: int
-    R: float
     n: int
     g_est: float
     g_trial: float | None = None
     d_lower: float | None = None
     d_upper: float | None = None
+    r0: float | None = None
     potential_moment: float | None = None
     zeta: float | None = None
     iterations: int | None = None     # of the minimize run
@@ -147,15 +148,12 @@ class GCurvePoint:
 
 def init_state(kind: str, config: CellConfig) -> DiscreteField:
     grid = build_grid(config)
-    wrap = WrapRule(n=grid.n, N=grid.N)
-    if kind == "uniform":
-        u = np.ones((grid.n, grid.n), dtype=np.complex128)
-        return DiscreteField(u=u, grid=grid, wrap=wrap)
     if kind == "random":
         rng = np.random.default_rng(config.seed)
         mod = rng.random((grid.n, grid.n))
         phase = rng.uniform(0.0, 2.0 * math.pi, (grid.n, grid.n))
-        return DiscreteField(u=mod * np.exp(1j * phase), grid=grid, wrap=wrap)
+        return DiscreteField(u=mod * np.exp(1j * phase), grid=grid,
+                             wrap=WrapRule(n=grid.n, N=grid.N))
     if kind == "trial":
         return build_trial(config.b, config.N, grid)
     raise ValueError(f"unknown init kind: {kind}")
@@ -436,7 +434,7 @@ def estimate_g(config: CellConfig, settings: SolverSettings | None = None,
     _, _, mpot = density_moments(res.field)
     zeta = (g_est + 0.5 + 0.5 * b * math.log(b)) / (b * math.log(b))
     return GCurvePoint(
-        b=b, N=config.N, R=grid.R, n=grid.n, g_est=g_est, g_trial=g_trial,
+        b=b, N=config.N, n=grid.n, g_est=g_est, g_trial=g_trial,
         potential_moment=mpot, zeta=zeta, iterations=res.iterations,
         stop_reason=res.stop_reason, restarts=res.restarts, coarse=res.coarse, flags=flags,
         start=kind,

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from glcell.analysis import (
     aggregate_tiles,
     build_sweep,
     density_profile_check,
-    derivative_bracket,
     potential_check,
     r0,
     run_sweep,
@@ -26,7 +26,7 @@ from glcell.vortices import VortexBall
 
 def model_point(b, g=None):
     g_val = -0.5 - 0.5 * b * math.log(b) if g is None else g
-    return GCurvePoint(b=b, N=16, R=math.sqrt(32 * math.pi), n=256, g_est=g_val)
+    return GCurvePoint(b=b, N=16, n=256, g_est=g_val)
 
 
 def test_r0_values():
@@ -51,45 +51,52 @@ def test_r0_validation():
         r0(1.5, -0.5)
 
 
-def test_derivative_bracket_model_curve():
+def test_build_sweep_report():
     # g(b) = -1/2 - (b/2) log b has derivative -1/2 log b - 1/2
-    b, delta = 0.02, 0.005
-    points = [model_point(b - delta), model_point(b), model_point(b + delta)]
-    lower, upper, mid = derivative_bracket(points, b, delta)
-    exact = -0.5 * math.log(b) - 0.5
+    bs = (0.015, 0.02, 0.025)
+    rep = build_sweep([model_point(b) for b in reversed(bs)])
+    assert [p.b for p in rep.points] == sorted(bs)
+    assert list(rep.brackets) == [0.02]  # none at the ends
+    lower, upper, mid = rep.brackets[0.02]
+    assert (rep.points[1].d_lower, rep.points[1].d_upper) == (lower, upper)
+    exact = -0.5 * math.log(0.02) - 0.5
     assert lower <= exact + 1e-9 <= upper + 1e-6
     assert lower <= upper
     assert abs(mid - exact) < 0.1
-
-
-def test_derivative_bracket_constant():
-    points = [model_point(b, g=-0.4) for b in (0.01, 0.02, 0.03)]
-    lower, upper, mid = derivative_bracket(points, 0.02, 0.01)
-    assert lower == upper == mid == 0.0
-
-
-def test_derivative_bracket_missing_point():
-    points = [model_point(0.02), model_point(0.025)]
-    with pytest.raises(AnalysisError, match="missing sweep point"):
-        derivative_bracket(points, 0.02, 0.005)
-
-
-def test_build_sweep_report():
-    bs = (0.015, 0.02, 0.025)
-    rep = build_sweep([model_point(b) for b in bs])
-    assert [p.b for p in rep.points] == sorted(bs)
-    assert 0.02 in rep.brackets
-    lower, upper, mid = rep.brackets[0.02]
-    assert lower <= upper + 1e-3
-    assert all(b in rep.r0_values for b in bs)
+    assert [p.r0 for p in rep.points] == [r0(b, model_point(b).g_est) for b in bs]
     # model points are exactly on the curve: no flags
-    assert not any(rep.flags[b] for b in bs)
+    assert not any(p.flags for p in rep.points)
+    # a constant g has both secants 0 and is off the asymptotics everywhere
+    rep = build_sweep([model_point(b, g=-0.4) for b in (0.01, 0.02, 0.03)])
+    assert rep.brackets == {0.02: (0.0, 0.0, 0.0)}
+    assert all(p.flags == ["asymptotic ratio outside [0.6, 1.4]"] for p in rep.points)
 
 
 def test_build_sweep_single_point_flagged():
     rep = build_sweep([model_point(0.02)])
-    assert rep.flags[0.02] == ["insufficient points for derivative bracket"]
+    assert rep.points[0].flags == ["insufficient points for derivative bracket"]
     assert not rep.brackets
+
+
+def test_build_sweep_brackets_straddling_points():
+    # the spacings agree to 1e-12, but the middle b plus its spacing rounds to
+    # another 12th decimal than the last b: the bracket comes from the
+    # neighbours themselves, not from a lookup of b +- d
+    bs = (0.2659003298485913, 0.30424303888254567, 0.3425857479165)
+    lo, mid, hi = build_sweep([model_point(b) for b in bs]).points
+    delta = mid.b - lo.b
+    assert round(mid.b + delta, 12) != round(hi.b, 12)
+    assert mid.d_lower == (hi.g_est - mid.g_est) / delta
+    assert mid.d_upper == (mid.g_est - lo.g_est) / delta
+
+
+def test_build_sweep_leaves_its_input_unchanged():
+    points = [model_point(b, g=-0.4) for b in (0.03, 0.01, 0.02)]
+    before = copy.deepcopy(points)
+    rep = build_sweep(points)
+    assert points == before
+    assert build_sweep(points) == rep
+    assert rep.points[1].d_lower == 0.0 and all(p.flags for p in rep.points)
 
 
 def test_sweep_ordering_enforced():

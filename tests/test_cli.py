@@ -24,10 +24,12 @@ def run(args, capsys):
 def test_minimize_writes_outputs(tmp_path, capsys):
     out = tmp_path / "run1"
     code, _, _ = run(["minimize", "--b", "0.25", "--N", "1", "--n", "48",
-                      "--init", "trial", "--out", str(out)], capsys)
+                      "--out", str(out)], capsys)
     assert code == EXIT_OK
     assert (out / "field.glc").exists()
     result = json.loads((out / "result.json").read_text())
+    assert result["init"] == "trial"  # the default
+    assert isinstance(result["wall_s"], float) and result["wall_s"] > 0.0
     assert result["converged"]
     assert result["stop_reason"] == "converged"
     assert result["operator_evals"] >= 2 * result["iterations"]
@@ -44,7 +46,9 @@ def test_minimize_deterministic(tmp_path, capsys):
                           "--init", "random", "--seed", "3", "--out", str(out)],
                          capsys)
         assert code == EXIT_OK
-        outs.append((out / "result.json").read_text())
+        result = json.loads((out / "result.json").read_text())
+        assert result.pop("wall_s") > 0.0  # the one timing: all else must repeat
+        outs.append(result)
     assert outs[0] == outs[1]
 
 

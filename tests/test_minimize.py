@@ -27,11 +27,18 @@ B, N = 0.25, 1
 CFG = trial_config(B, N)
 
 
+def ones(config):
+    """u = 1 on the config's grid: a start with no vortices at all."""
+    grid = build_grid(config)
+    return DiscreteField(u=np.ones((grid.n, grid.n), dtype=np.complex128), grid=grid,
+                         wrap=WrapRule(n=grid.n, N=grid.N))
+
+
 def test_init_kinds():
-    for kind in ("uniform", "random", "trial"):
+    for kind in ("random", "trial"):
         f = init_state(kind, CFG)
         assert f.u.shape == (CFG.n, CFG.n)
-    for kind in ("bogus", "zero"):
+    for kind in ("bogus", "zero", "uniform"):
         with pytest.raises(ValueError, match="unknown init"):
             init_state(kind, CFG)
     # random init is reproducible for a fixed seed
@@ -57,8 +64,7 @@ def test_best_seen_monotone():
     # deterministic, so the half grid's run with max_iter = k is a prefix of
     # its run with k + 1, each fine solve takes at most k more steps from its
     # prolonged answer, and the final energy may not rise from one k to the next
-    for kind in ("uniform", "random"):
-        init = init_state(kind, CFG)
+    for kind, init in (("ones", ones(CFG)), ("random", init_state("random", CFG))):
         prev = energy(init, B).total
         for k in range(60):
             res = minimize(init, B, SolverSettings(max_iter=k, grad_tol=1e-14))
@@ -132,7 +138,7 @@ def test_start_above_trial_solves_cold():
     # a start that lies above the trial state is not used: the point is the
     # cold solve, bit for bit
     cold = estimate_g(CFG)
-    high = init_state("uniform", CFG)
+    high = ones(CFG)
     high.u *= 3.0  # potential (1 - 9)^2 / 2 per unit area
     point = estimate_g(CFG, start=high)
     assert point.start == "trial"
@@ -140,7 +146,7 @@ def test_start_above_trial_solves_cold():
 
 
 def test_start_on_another_grid_rejected():
-    start = init_state("uniform", CellConfig(b=B, N=N, n=CFG.n + 2))
+    start = ones(CellConfig(b=B, N=N, n=CFG.n + 2))
     with pytest.raises(ConfigError, match="start field"):
         estimate_g(CFG, start=start)
 
@@ -195,7 +201,7 @@ def test_b_is_checked_before_the_solve(b, monkeypatch):
 
 def test_operator_evals_count_the_final_energy():
     # the loop's D and D* applications plus the one D of the final breakdown
-    res = minimize(init_state("uniform", CFG), B, SolverSettings(max_iter=0))
+    res = minimize(ones(CFG), B, SolverSettings(max_iter=0))
     assert res.iterations == 0 and res.operator_evals == 2 + 1
 
 
@@ -234,7 +240,7 @@ def test_nonfinite_step_raises_minimization_error():
     # line search overflows.  The gradient is tiny next to |G| ~ 3e160, so
     # this also checks that the stopping test caps |G| at the cell area
     # instead of calling the state converged after 0 iterations.
-    init = init_state("uniform", CFG)
+    init = ones(CFG)
     init.u *= 1e40
     with np.errstate(all="ignore"), pytest.raises(MinimizationError) as info:
         minimize(init, B)
@@ -440,7 +446,7 @@ def test_bad_start_raises_as_the_direct_solve(huge):
     # a huge field diverges at iteration 1 on the half grid, and that error
     # reaches the caller; a nan on an odd site, which the half grid does not
     # see, goes straight to the direct solve and raises what it raises
-    init = init_state("uniform", CFG)
+    init = ones(CFG)
     if huge:
         init.u *= 1e40
     else:

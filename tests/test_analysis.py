@@ -51,25 +51,37 @@ def test_r0_validation():
         r0(1.5, -0.5)
 
 
-def test_build_sweep_report():
+def test_derivative_bracket_model_curve():
     # g(b) = -1/2 - (b/2) log b has derivative -1/2 log b - 1/2
+    b, delta = 0.02, 0.005
+    rep = build_sweep([model_point(b - delta), model_point(b), model_point(b + delta)])
+    lower, upper, mid = rep.brackets[b]
+    assert (rep.points[1].d_lower, rep.points[1].d_upper) == (lower, upper)
+    exact = -0.5 * math.log(b) - 0.5
+    assert lower <= exact + 1e-9 <= upper + 1e-6
+    assert lower <= upper
+    assert abs(mid - exact) < 0.1
+
+
+def test_derivative_bracket_constant():
+    # a constant g has both secants 0 and is off the asymptotics everywhere
+    rep = build_sweep([model_point(b, g=-0.4) for b in (0.01, 0.02, 0.03)])
+    assert rep.brackets == {0.02: (0.0, 0.0, 0.0)}
+    assert rep.points[1].d_lower == rep.points[1].d_upper == 0.0
+    assert all(p.flags == ["asymptotic ratio outside [0.6, 1.4]"] for p in rep.points)
+
+
+def test_build_sweep_report():
     bs = (0.015, 0.02, 0.025)
     rep = build_sweep([model_point(b) for b in reversed(bs)])
     assert [p.b for p in rep.points] == sorted(bs)
     assert list(rep.brackets) == [0.02]  # none at the ends
-    lower, upper, mid = rep.brackets[0.02]
+    lower, upper, _ = rep.brackets[0.02]
     assert (rep.points[1].d_lower, rep.points[1].d_upper) == (lower, upper)
-    exact = -0.5 * math.log(0.02) - 0.5
-    assert lower <= exact + 1e-9 <= upper + 1e-6
     assert lower <= upper
-    assert abs(mid - exact) < 0.1
     assert [p.r0 for p in rep.points] == [r0(b, model_point(b).g_est) for b in bs]
     # model points are exactly on the curve: no flags
     assert not any(p.flags for p in rep.points)
-    # a constant g has both secants 0 and is off the asymptotics everywhere
-    rep = build_sweep([model_point(b, g=-0.4) for b in (0.01, 0.02, 0.03)])
-    assert rep.brackets == {0.02: (0.0, 0.0, 0.0)}
-    assert all(p.flags == ["asymptotic ratio outside [0.6, 1.4]"] for p in rep.points)
 
 
 def test_build_sweep_single_point_flagged():

@@ -103,9 +103,13 @@ def cmd_minimize(args) -> int:
     kind = cfg.get("init", "trial")
     if "seed" in cfg and kind != "random":
         raise ConfigError(f"seed applies only to the random init, not to {kind!r}")
-    config = _cell_config(cfg)
-    settings = _solver_settings(cfg)
-    init = init_state(kind, config)  # an unknown kind fails before the output exists
+    try:
+        config = _cell_config(cfg)
+        settings = _solver_settings(cfg)
+        init = init_state(kind, config)  # an unknown kind fails before the output exists
+    except TrialError as exc:
+        # the trial state, and the default n, need square N and sqrt(N) | n
+        raise TrialError(f"{exc}; --init random with --n starts any N and n") from None
     outdir = _out_dir(cfg)
     res = minimize(init, config.b, settings)
     write_snapshot(outdir / "field.glc", res.field, config.b)

@@ -8,8 +8,10 @@ from the winding of u/|u| along one lattice loop that hugs it.  The cell tiles
 into N congruent squares of area 2*pi which are classified good or bad by
 their local energy, and the vorticity measure mu = curl j + curl A0 always
 carries total mass 2*pi*N by telescoping.  mu stays on its plaquette lattice
-(LatticeMeasure), so its Lipschitz-dual distance pairs it with the tents one
-axis at a time; scattered atoms (DiscreteMeasure) are paired atom by atom.
+(LatticeMeasure), so its Lipschitz-dual distance groups the tents of each
+axis into classes whose windows of atoms are congruent, and evaluates one
+kernel per pair of classes for all their tents at once; scattered atoms
+(DiscreteMeasure) are paired atom by atom.
 
 Everything here reads the field's own connection: covariant differences go
 through its cell operator, and loop values through grid.wrap_value, one
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .energy import DiscreteField
 from .grid import TWO_PI, wrap_value
@@ -537,37 +540,119 @@ def uniform_measure(domain, density: float) -> DiscreteMeasure:
                            uniform_density=density)
 
 
-# atoms per block in _level_pairings, scattered or in whole lattice rows:
-# bounds its temporaries, which hold only the candidate pairs whose tent
-# reaches the atom (a candidate that does not reach pairs to exactly 0);
-# the tracemalloc peak of the n=568 depth-4 dual distance is 0.9 MB for the
-# lattice and 3.6 MB for the same atoms scattered, where the pairs that
-# reach are gathered; 2**13 and 2**15 are both slower on the lattice
+# block size in _level_pairings: _ATOM_CHUNK scattered atoms at a time, or
+# a lattice class kernel in row blocks of at most _ATOM_CHUNK entries; the
+# tracemalloc peak of the n=568 dual distance is 0.40 MB for the lattice at
+# depth 6, where a depth-0 kernel built whole would take 2.6 MB, and 3.6 MB
+# at depth 4 for the same atoms scattered; 2**13 and 2**15 are both slower
+# on the lattice
 _ATOM_CHUNK = 2**14
+
+
+def _window_classes(p, c, r):
+    """The tents of one sorted axis p as runs of congruent, evenly spaced windows.
+
+    Tent t's window is the run of atoms p[start:start + L] within r[t] + tol
+    of c[t], found by bisection; tol is 4 ulps of the largest coordinate, so
+    the window holds every atom whose offset p - c[t] rounds inside
+    (-r[t], r[t]).  Tents whose windows have the same length, with radii
+    and offsets equal to within tol, form a class; a class is split into
+    runs of tents whose windows start evenly spaced.  Returns one (tents,
+    start, step, offsets, radius) per run, with the offsets and radius of
+    its class's first tent.  A tent of radius <= 0 is in no run.
+    """
+    tol = 4.0 * np.spacing(max(np.abs(c).max(), r.max(), np.abs(p).max(initial=0.0)))
+    start = np.searchsorted(p, c - r - tol, "left")
+    length = np.searchsorted(p, c + r + tol, "right") - start
+    length[r <= 0.0] = 0
+    runs = []
+    for L in sorted(set(length.tolist()) - {0}):
+        tents = np.flatnonzero(length == L)
+        offsets = p[start[tents, None] + np.arange(L)] - c[tents, None]
+        free = np.ones(len(tents), dtype=bool)
+        while free.any():
+            k = np.argmax(free)
+            same = (free & (np.abs(r[tents] - r[tents[k]]) <= tol)
+                    & (np.abs(offsets - offsets[k]).max(axis=1) <= tol))
+            free &= ~same
+            class_runs = []  # a run ends where the spacing of its starts changes
+            for t in tents[same]:
+                if class_runs:
+                    run = class_runs[-1]
+                    step = start[t] - start[run[-1]]
+                    if step > 0 and (len(run) == 1 or step == start[run[1]] - start[run[0]]):
+                        run.append(t)
+                        continue
+                class_runs.append([t])
+            runs += [(np.array(run), start[run[0]],
+                      start[run[1]] - start[run[0]] if len(run) > 1 else 1,
+                      offsets[k], r[tents[k]]) for run in class_runs]
+    return runs
 
 
 def _level_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry) -> np.ndarray:
     """<mu, tent> for every tent of one dyadic level, as an (nx, nx) array.
 
     The tent (ii, jj) sits at (cx[ii], cy[jj]) with radius
-    min(rx[ii], ry[jj]) <= the cell sides sx and sy, so an atom pairs to
-    nonzero only with the tent of its own cell or of the neighbour on its
-    nearer side, per axis.  Of these candidates, an atom is paired only with
-    those that reach it on both axes: radius > sqrt(offset**2) along the
-    axis.  A skipped pair is exactly 0, since min(rx, ry) <= sqrt(dx**2) <=
-    sqrt(dx**2 + dy**2) holds in floating point too.  The tent grid is
-    padded with a ring of zero-radius tents, and a candidate index is
-    clipped onto that ring, so an atom at or past the domain edge keeps its
-    outward candidate apart from its own cell's tent; the ring reaches no
-    atom and is dropped on return.
+    min(rx[ii], ry[jj]) <= the cell sides sx and sy.  A LatticeMeasure
+    pairs by runs of congruent windows per axis (_window_classes), sorting
+    an unsorted axis once (and copying the weights only then).  Each pair
+    of an x run and a y run builds one kernel K[i, j] = (min(rx, ry) -
+    sqrt(dx[i]**2 + dy[j]**2))_+ of their offsets, in row blocks of at most
+    _ATOM_CHUNK entries, and one einsum contracts it with a strided view of
+    the weights that holds the window of every tent pair of the two runs.
+    A run shares its class's first radius and offsets, which lie within
+    tol of each tent's own, and K is 1-Lipschitz in the radius and in the
+    offset vector, so a pairing moves by at most (1 + sqrt(2)) tol sum(|w|).
+    A depth costs its kernels' entries, the einsum's products (about 4 per
+    atom once windows overlap) and a few numpy calls per run pair: 4 runs
+    per axis at n=568, depth 4, and 10 at depth 6.  A DiscreteMeasure is
+    paired by _scattered_pairings.
+    """
+    if isinstance(mu, LatticeMeasure):
+        xs, ys, w = mu.xs, mu.ys, mu.weights
+        if np.any(np.diff(xs) < 0.0):
+            order = np.argsort(xs, kind="stable")
+            xs, w = xs[order], w[order]
+        if np.any(np.diff(ys) < 0.0):
+            order = np.argsort(ys, kind="stable")
+            ys, w = ys[order], w[:, order]
+        sums = np.zeros((len(cx), len(cy)))
+        y_runs = _window_classes(ys, cy, ry)
+        for ti, i0, di, dx, ri in _window_classes(xs, cx, rx):
+            for tj, j0, dj, dy, rj in y_runs:
+                s, M = min(ri, rj), len(dy)
+                windows = sliding_window_view(w, (len(dx), M))[i0::di, j0::dj][:len(ti), :len(tj)]
+                block = np.zeros((len(ti), len(tj)))
+                rows = max(1, _ATOM_CHUNK // M)
+                for a in range(0, len(dx), rows):
+                    kernel = np.add(np.square(dx[a:a + rows, None]), np.square(dy))
+                    np.subtract(s, np.sqrt(kernel, out=kernel), out=kernel)
+                    np.maximum(kernel, 0.0, out=kernel)
+                    block += np.einsum("abij,ij->ab", windows[:, :, a:a + rows], kernel)
+                sums[np.ix_(ti, tj)] = block
+    else:
+        sums = _scattered_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry)
+    if mu.uniform_density:
+        # exact cone integral: int (s - |x - c|)_+ dx = pi s^3 / 3
+        sums += mu.uniform_density * math.pi * np.minimum.outer(rx, ry) ** 3 / 3.0
+    return sums
 
-    A DiscreteMeasure finds its candidates atom by atom, in blocks of
-    _ATOM_CHUNK atoms, and sums each block into the tents with bincount.  A
-    LatticeMeasure finds them once per axis, for len(xs) + len(ys) values,
-    evaluates the candidate pairs that reach on blocks of about _ATOM_CHUNK
-    atoms (whole rows, with the rows and columns that reach gathered), and
-    sums each block into the tents by its (row tent, column tent) index as
-    one-hot matrix products.
+
+def _scattered_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry) -> np.ndarray:
+    """_level_pairings of a DiscreteMeasure's atoms, without its background.
+
+    An atom is paired only with the tent of its own cell or of the
+    neighbour on its nearer side, per axis, of those that reach it on both
+    axes: radius > sqrt(offset**2) along the axis.  A skipped pair is
+    exactly 0, since min(rx, ry) <= sqrt(dx**2) <= sqrt(dx**2 + dy**2) holds
+    in floating point too.  The tent grid is padded with a ring of
+    zero-radius tents, and a candidate index is clipped onto that ring, so
+    an atom at or past the domain edge keeps its outward candidate apart
+    from its own cell's tent; the ring reaches no atom and is dropped on
+    return.  The candidates are found atom by atom, in blocks of
+    _ATOM_CHUNK atoms, and each block is summed into the tents with
+    bincount.
     """
     nx = len(cx)
     # ring centres one cell beyond the ends keep every offset finite
@@ -599,51 +684,20 @@ def _level_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry) -> np.ndarray:
         term *= w
         return term
 
-    def one_hot(k):
-        return np.equal.outer(k, np.arange(nx + 2)).astype(float)
-
-    if isinstance(mu, LatticeMeasure):
-        # a candidate that reaches every atom of its axis (or block) is a view
-        ys = []
-        for k, rj, dy2, reach in candidates(mu.ys, y_lo, sy, cy_pad, ry_pad):
-            if reach.any():
-                cols = slice(None) if reach.all() else np.flatnonzero(reach)
-                ys.append((cols, one_hot(k[cols]), rj[cols], dy2[cols]))
-        xs = [(one_hot(k), ri, dx2, reach)
-              for k, ri, dx2, reach in candidates(mu.xs, x_lo, sx, cx_pad, rx_pad)]
-        rows = max(1, _ATOM_CHUNK // max(len(mu.ys), 1))
-        for start in range(0, len(mu.xs), rows):
-            block = slice(start, start + rows)
-            for row_tents, ri, dx2, reach in xs:
-                if reach[block].all():
-                    kept = block
-                elif reach[block].any():
-                    kept = start + np.flatnonzero(reach[block])
-                else:
+    for start in range(0, len(mu.weights), _ATOM_CHUNK):
+        block = slice(start, start + _ATOM_CHUNK)
+        w = mu.weights[block]
+        xs = candidates(mu.points[block, 0], x_lo, sx, cx_pad, rx_pad)
+        ys = candidates(mu.points[block, 1], y_lo, sy, cy_pad, ry_pad)
+        for i, ri, dx2, reach_x in xs:
+            for j, rj, dy2, reach_y in ys:
+                kept = np.flatnonzero(reach_x & reach_y)
+                if kept.size == 0:
                     continue
-                w = mu.weights[kept]
-                for cols, col_tents, rj, dy2 in ys:
-                    term = pair(ri[kept, None], rj, dx2[kept, None], dy2, w[:, cols])
-                    sums += row_tents[kept].T @ (term @ col_tents)
-    else:
-        for start in range(0, len(mu.weights), _ATOM_CHUNK):
-            block = slice(start, start + _ATOM_CHUNK)
-            w = mu.weights[block]
-            xs = candidates(mu.points[block, 0], x_lo, sx, cx_pad, rx_pad)
-            ys = candidates(mu.points[block, 1], y_lo, sy, cy_pad, ry_pad)
-            for i, ri, dx2, reach_x in xs:
-                for j, rj, dy2, reach_y in ys:
-                    kept = np.flatnonzero(reach_x & reach_y)
-                    if kept.size == 0:
-                        continue
-                    term = pair(ri[kept], rj[kept], dx2[kept], dy2[kept], w[kept])
-                    sums += np.bincount(i[kept] * (nx + 2) + j[kept], term,
-                                        minlength=(nx + 2) ** 2).reshape(nx + 2, nx + 2)
-    sums = sums[1:-1, 1:-1]
-    if mu.uniform_density:
-        # exact cone integral: int (s - |x - c|)_+ dx = pi s^3 / 3
-        sums += mu.uniform_density * math.pi * np.minimum.outer(rx, ry) ** 3 / 3.0
-    return sums
+                term = pair(ri[kept], rj[kept], dx2[kept], dy2[kept], w[kept])
+                sums += np.bincount(i[kept] * (nx + 2) + j[kept], term,
+                                    minlength=(nx + 2) ** 2).reshape(nx + 2, nx + 2)
+    return sums[1:-1, 1:-1]
 
 
 def lipschitz_dual_distance(
@@ -661,16 +715,17 @@ def lipschitz_dual_distance(
     the open domain; the estimate is monotone in dictionary_depth.
 
     A tent's radius is at most the side of its dyadic cell, so an atom lies
-    in the support of at most 4 tents per depth, and only those that reach
-    it are paired with it: per axis, the tent of its own cell and the one of
-    the neighbouring cell on the nearer side, each kept when its radius
-    exceeds the atom's offset along that axis.  A skipped pair is exactly 0,
-    since the cone's distance is never below an axis offset in floating
-    point.  Each depth therefore costs O(atoms + tents), not O(atoms *
-    tents), and a LatticeMeasure finds those tents per axis, not per atom;
-    at depths 0 and 1 only its own cell's tent reaches an atom.  The witness is
-    the first tent in (depth, ii, jj) order within 1e-12 relative of the
-    maximum, or (0, 0, 0) when every pairing is 0.
+    in the support of at most 4 tents per depth, and each depth costs
+    O(atoms + tents), not O(atoms * tents) (_level_pairings).  Scattered
+    atoms are paired with the tents that reach them, per axis the tent of
+    the own cell and of the neighbouring cell on the nearer side; a skipped
+    pair is exactly 0, since the cone's distance is never below an axis
+    offset in floating point.  A LatticeMeasure shares more: per axis,
+    tents whose windows of atoms are congruent form a class, and one kernel
+    per pair of classes serves all their tent pairs: at n=568 each of
+    depths 0..6 builds at most 10 x 10 kernels.  The witness is the first
+    tent in (depth, ii, jj) order within 1e-12 relative of the maximum, or
+    (0, 0, 0) when every pairing is 0.
     """
     if dictionary_depth < 0:
         raise VortexError("empty dictionary")

@@ -122,6 +122,26 @@ def test_trial_non_square_N(capsys):
     assert "trial requires square N" in err
 
 
+@pytest.mark.parametrize("grid, message", [
+    (["--N", "2", "--n", "64"], "trial requires square N, got N=2"),
+    (["--N", "2"], "trial requires square N, got N=2"),
+    (["--N", "4", "--n", "91"], "n=91 must be divisible by sqrt(N)=2"),
+])
+def test_minimize_trial_init_errors_name_the_random_init(grid, message, tmp_path, capsys):
+    # trial is the default init: a grid it cannot start names the init that can
+    out = tmp_path / "m"
+    code, _, err = run(["minimize", "--b", "0.25", *grid, "--out", str(out)], capsys)
+    assert code == EXIT_ERROR
+    assert message in err and "--init random with --n" in err
+    assert not out.exists()
+
+
+def test_minimize_random_init_starts_non_square_N(tmp_path, capsys):
+    code, _, _ = run(["minimize", "--b", "0.25", "--N", "2", "--n", "64", "--init", "random",
+                      "--max-iter", "1", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_MAXITER
+
+
 def test_missing_b_usage(capsys):
     code, _, err = run(["trial"], capsys)
     assert code == EXIT_ERROR

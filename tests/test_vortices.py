@@ -560,20 +560,33 @@ def test_uniform_measure_pairing():
         assert rep.witness == (0.5, 0.5, 0.5)
 
 
-def reference_dual_distance(mu_a, mu_b, domain, depth):
-    """Every tent paired with every atom, one tent at a time."""
+def reference_dual_distances(mu_a, mu_b, domain, depth):
+    """Every tent paired with every atom, one tent at a time: (estimate,
+    witness, dictionary) for each depth 0..depth.
 
-    def pairing(mu, c, s):
-        total = 0.0
-        if mu.points.shape[0]:
-            r = np.hypot(mu.points[:, 0] - c[0], mu.points[:, 1] - c[1])
-            total += float(np.sum(mu.weights * np.maximum(0.0, s - r)))
+    The atoms are sorted by x once, and a tent of radius s sums those with
+    |x - cx| and |y - cy| within 2 s of its centre; every other atom is
+    farther than s from it, so its (s - r)_+ is exactly 0.
+    """
+
+    def by_x(mu):
+        order = np.argsort(mu.points[:, 0], kind="stable")
+        return mu.points[order, 0], mu.points[order, 1], mu.weights[order]
+
+    def pairing(mu, atoms, c, s):
+        xs, ys, ws = atoms
+        lo, hi = np.searchsorted(xs, [c[0] - 2.0 * s, c[0] + 2.0 * s])
+        box = np.abs(ys[lo:hi] - c[1]) <= 2.0 * s
+        r = np.hypot(xs[lo:hi][box] - c[0], ys[lo:hi][box] - c[1])
+        total = float(np.sum(ws[lo:hi][box] * np.maximum(0.0, s - r)))
         if mu.uniform_density:
             total += mu.uniform_density * math.pi * s**3 / 3.0
         return total
 
+    sorted_a, sorted_b = by_x(mu_a), by_x(mu_b)
     x_lo, x_hi, y_lo, y_hi = domain
     tents = []  # (value, witness) in (depth, ii, jj) order
+    reports = []
     for d in range(depth + 1):
         nx = 2**d
         sx, sy = (x_hi - x_lo) / nx, (y_hi - y_lo) / nx
@@ -584,13 +597,21 @@ def reference_dual_distance(mu_a, mu_b, domain, depth):
                 s = min(sx, sy, cx - x_lo, x_hi - cx, cy - y_lo, y_hi - cy)
                 if s <= 0.0:
                     continue
-                val = abs(pairing(mu_a, (cx, cy), s) - pairing(mu_b, (cx, cy), s))
+                val = abs(pairing(mu_a, sorted_a, (cx, cy), s)
+                          - pairing(mu_b, sorted_b, (cx, cy), s))
                 tents.append((val, (cx, cy, s)))
-    best = max(val for val, _ in tents) if tents else 0.0
-    # the first tent within 1e-12 relative of the maximum, none if that is 0
-    witness = next((w for val, w in tents if best > 0.0 and val >= (1.0 - 1e-12) * best),
-                   (0.0, 0.0, 0.0))
-    return best, witness, f"radial tents, dyadic depths 0..{depth}, {len(tents)} elements"
+        best = max(val for val, _ in tents) if tents else 0.0
+        # the first tent within 1e-12 relative of the maximum, none if that is 0
+        witness = next((w for val, w in tents if best > 0.0 and val >= (1.0 - 1e-12) * best),
+                       (0.0, 0.0, 0.0))
+        reports.append((best, witness,
+                        f"radial tents, dyadic depths 0..{d}, {len(tents)} elements"))
+    return reports
+
+
+def reference_dual_distance(mu_a, mu_b, domain, depth):
+    """reference_dual_distances at depth alone."""
+    return reference_dual_distances(mu_a, mu_b, domain, depth)[-1]
 
 
 def dual_cases():
@@ -664,6 +685,18 @@ def scattered_twin(mu):
     return DiscreteMeasure(points=mu.points, weights=mu.weights.ravel())
 
 
+def level_tents(domain, depth):
+    """(sx, sy, cx, cy, rx, ry) of one level, as lipschitz_dual_distance builds them."""
+    x_lo, x_hi, y_lo, y_hi = domain
+    nx = 2**depth
+    sx, sy = (x_hi - x_lo) / nx, (y_hi - y_lo) / nx
+    cx = x_lo + (np.arange(nx) + 0.5) * sx
+    cy = y_lo + (np.arange(nx) + 0.5) * sy
+    rx = np.minimum(np.minimum(cx - x_lo, x_hi - cx), min(sx, sy))
+    ry = np.minimum(np.minimum(cy - y_lo, y_hi - cy), min(sx, sy))
+    return sx, sy, cx, cy, rx, ry
+
+
 def lattice_cases():
     rng = np.random.default_rng(23)
     square = (-2.0, 2.0, -2.0, 2.0)
@@ -688,10 +721,13 @@ def lattice_cases():
         (lattice(rng.permutation(uneven), np.concatenate([wide_edges, outside])),
          uniform_measure(wide, 1.1), wide),
         (lattice(np.zeros(0), edges), uniform_measure(square, 0.5), square),
+        # windows congruent to 1e-9, far above the rounding that a class forgives
+        (lattice(centres + 1e-9 * rng.normal(size=64), centres), uniform_measure(square, 0.2),
+         square),
     ]
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(6))
 def test_lattice_measure_matches_its_scattered_twin(case):
     # the per-axis pairing of a lattice gives the per-atom pairing of the same
     # atoms up to the summation order, tent by tent, with the same estimate,
@@ -701,15 +737,9 @@ def test_lattice_measure_matches_its_scattered_twin(case):
     mu_a, mu_b, dom = lattice_cases()[case]
     twin_a = scattered_twin(mu_a)
     twin_b = scattered_twin(mu_b) if isinstance(mu_b, LatticeMeasure) else mu_b
-    x_lo, x_hi, y_lo, y_hi = dom
     for depth in range(7):
-        nx = 2**depth
-        sx, sy = (x_hi - x_lo) / nx, (y_hi - y_lo) / nx
-        cx = x_lo + (np.arange(nx) + 0.5) * sx
-        cy = y_lo + (np.arange(nx) + 0.5) * sy
-        rx = np.minimum(np.minimum(cx - x_lo, x_hi - cx), min(sx, sy))
-        ry = np.minimum(np.minimum(cy - y_lo, y_hi - cy), min(sx, sy))
-        level = [_level_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry) for mu in (mu_a, twin_a)]
+        sx, sy, cx, cy, rx, ry = level_tents(dom, depth)
+        level = [_level_pairings(mu, dom[0], dom[2], sx, sy, cx, cy, rx, ry) for mu in (mu_a, twin_a)]
         assert np.abs(level[0] - level[1]).max() <= 1e-12 * np.abs(level[1]).max()
         rep = lipschitz_dual_distance(mu_a, mu_b, dom, depth)
         ref = lipschitz_dual_distance(twin_a, twin_b, dom, depth)
@@ -720,22 +750,62 @@ def test_lattice_measure_matches_its_scattered_twin(case):
             assert (rep.witness, rep.dictionary) == (wit, dic)
 
 
-def test_vorticity_lattice_matches_its_scattered_twin():
-    # n = 568 at depth 4: a dyadic cell is 35.5 atoms wide, so cell edges cut
-    # through plaquette rows; held to the twin and to the all-pairs reference
-    n, N = 568, 16
+def check_vorticity_lattice(n, seed):
+    """The n x n plaquette lattice of a normal vorticity, N = 16, against its
+    scattered twin, level by level and report by report, and against the
+    all-pairs reference, at every depth 0..6."""
+    N = 16
     R = math.sqrt(TWO_PI * N)
-    mu = np.random.default_rng(11).normal(size=(n, n))
+    mu = np.random.default_rng(seed).normal(size=(n, n))
     atoms = vorticity_measure(VorticityField(mu=mu, total_mass=0.0, h=R / n, R=R))
     assert isinstance(atoms, LatticeMeasure)
+    twin = scattered_twin(atoms)
     dom = (-R / 2, R / 2, -R / 2, R / 2)
     leb = uniform_measure(dom, 1.0)
-    rep = lipschitz_dual_distance(atoms, leb, dom, 4)
-    ref = lipschitz_dual_distance(scattered_twin(atoms), leb, dom, 4)
-    best, witness, dictionary = reference_dual_distance(scattered_twin(atoms), leb, dom, 4)
-    for est, wit, dic in ((ref.estimate, ref.witness, ref.dictionary), (best, witness, dictionary)):
-        assert abs(rep.estimate - est) <= 1e-12 * est
-        assert (rep.witness, rep.dictionary) == (wit, dic)
+    references = reference_dual_distances(twin, leb, dom, 6)
+    for depth, (best, witness, dictionary) in enumerate(references):
+        sx, sy, cx, cy, rx, ry = level_tents(dom, depth)
+        level = [_level_pairings(m, dom[0], dom[2], sx, sy, cx, cy, rx, ry) for m in (atoms, twin)]
+        assert np.abs(level[0] - level[1]).max() <= 1e-12 * np.abs(level[1]).max()
+        rep = lipschitz_dual_distance(atoms, leb, dom, depth)
+        ref = lipschitz_dual_distance(twin, leb, dom, depth)
+        for est, wit, dic in ((ref.estimate, ref.witness, ref.dictionary),
+                              (best, witness, dictionary)):
+            assert abs(rep.estimate - est) <= 1e-12 * est
+            assert (rep.witness, rep.dictionary) == (wit, dic)
+
+
+def test_vorticity_lattice_matches_its_scattered_twin():
+    # n = 568: a depth-4 dyadic cell is 35.5 atoms wide, so cell edges cut
+    # through plaquette rows, and the 16 tents per axis fall into 4 classes
+    # of congruent windows; depth 3 puts window rims exactly on atoms, and
+    # depth 6 has 8 classes of interior tents per axis
+    check_vorticity_lattice(568, 11)
+
+
+def test_odd_vorticity_lattice_matches_its_scattered_twin():
+    # n = 567: no two tents of a level at depth >= 2 see the same offsets,
+    # so most classes hold one tent
+    check_vorticity_lattice(567, 12)
+
+
+def test_permuted_lattice_gives_the_sorted_levels():
+    # the pairing sorts an unsorted axis once, with its weights; a row- and
+    # column-permuted copy of a uniform lattice pairs as the sorted one
+    dom = (-2.0, 2.0, -2.0, 2.0)
+    rng = np.random.default_rng(29)
+    x = -2.0 + (np.arange(96) + 0.5) * (4.0 / 96)
+    mu = LatticeMeasure(xs=x, ys=x, weights=rng.normal(size=(96, 96)))
+    rows, cols = rng.permutation(96), rng.permutation(96)
+    weights = mu.weights[np.ix_(rows, cols)]
+    permuted = LatticeMeasure(xs=x[rows], ys=x[cols], weights=weights.copy())
+    for depth in range(7):
+        sx, sy, cx, cy, rx, ry = level_tents(dom, depth)
+        level = [_level_pairings(m, dom[0], dom[2], sx, sy, cx, cy, rx, ry) for m in (permuted, mu)]
+        assert np.abs(level[0] - level[1]).max() <= 1e-12 * np.abs(level[1]).max()
+    # the sorted copies are the pairing's own: the measure is left as it was
+    assert (permuted.xs == x[rows]).all() and (permuted.ys == x[cols]).all()
+    assert (permuted.weights == weights).all()
 
 
 def test_lattice_measure_points_and_checks():

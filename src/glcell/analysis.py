@@ -262,20 +262,18 @@ def aggregate_tiles(
 
     L = M * ell
     scale = ell / grid.R
-    pts = []
-    weights = []
     atom_weight = TWO_PI * epsilon**2 / b
-    for ti in range(M):
-        for tj in range(M):
-            ox = (ti + 0.5) * ell
-            oy = (tj + 0.5) * ell
-            for ball in balls:
-                pts.append((ox + scale * ball.center[0], oy + scale * ball.center[1]))
-                weights.append(atom_weight * ball.degree)
+    # one replica of every ball per tile, in (tile row, tile column, ball) order
+    centers = scale * np.array([ball.center for ball in balls]).reshape(-1, 2)
+    origins = (np.arange(M) + 0.5) * ell
+    pts = np.empty((M, M, len(balls), 2))
+    pts[..., 0] = origins[:, None, None] + centers[:, 0]
+    pts[..., 1] = origins[None, :, None] + centers[:, 1]
+    degrees = np.array([ball.degree for ball in balls], dtype=float)
     domain_mass = L * L
     mu_v = DiscreteMeasure(
-        points=np.array(pts) if pts else np.zeros((0, 2)),
-        weights=np.array(weights) / domain_mass if weights else np.zeros(0),
+        points=pts.reshape(-1, 2),
+        weights=np.tile(atom_weight * degrees, M * M) / domain_mass,
     )
     mu_leb = uniform_measure((0.0, L, 0.0, L), 1.0 / domain_mass)
     dist = lipschitz_dual_distance(mu_v, mu_leb, (0.0, L, 0.0, L), dictionary_depth)

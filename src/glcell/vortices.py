@@ -2,10 +2,11 @@
 
 Zeros of the order parameter are located as connected components of
 {|u| < threshold}, wrapped periodically across the seams.  Each component is
-covered by its minimal enclosing disk; intersecting disks are merged until
-the collection is pairwise disjoint, and each ball gets an integer degree
-from the winding of u/|u| along one lattice loop that hugs it.  The cell tiles
-into N congruent squares of area 2*pi which are classified good or bad by
+covered by its minimal enclosing disk, all of them from one batched
+support-set iteration; intersecting disks are merged until the collection is
+pairwise disjoint, and each ball gets an integer degree from the winding of
+u/|u| along one lattice loop that hugs it, all loops wound in one array with
+segment sums.  The cell tiles into N congruent squares of area 2*pi which are classified good or bad by
 their local energy, and the vorticity measure mu = curl j + curl A0 always
 carries total mass 2*pi*N by telescoping.  mu stays on its plaquette lattice
 (LatticeMeasure), so its Lipschitz-dual distance groups the tents of each
@@ -138,19 +139,24 @@ def winding(field: DiscreteField, loop) -> int:
         raise VortexError("loop too short")
     if (pts[0] != pts[-1]).any():
         pts = np.vstack([pts, pts[:1]])
-    return _loop_degree(wrap_value(field.u, field.wrap, pts[:, 0], pts[:, 1]))
+    return int(_loop_degrees(wrap_value(field.u, field.wrap, pts[:, 0], pts[:, 1]),
+                             np.zeros(1, np.intp))[0])
 
 
-def _loop_degree(vals: np.ndarray) -> int:
-    """Winding number of the closed sequence of values vals (vals[-1] == vals[0])."""
+def _loop_degrees(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Winding numbers of closed sequences of values, concatenated in vals:
+    loop k runs from starts[k] to the next start, and its last value
+    repeats its first."""
     if np.min(np.abs(vals)) < 1e-12:
         raise VortexError("degree undefined: loop touches a zero")
-    total = float(np.sum(np.angle(vals[1:] / vals[:-1])))
-    w = total / TWO_PI
-    deg = int(round(w))
-    if abs(w - deg) > 1e-6:
-        raise VortexError(f"winding not integral: {w}")
-    return deg
+    turns = np.angle(vals[1:] / vals[:-1])
+    turns[starts[1:] - 1] = 0.0  # the steps from one loop's end to the next loop's start
+    w = np.add.reduceat(turns, starts) / TWO_PI
+    deg = np.rint(w)
+    off = np.abs(w - deg) > 1e-6
+    if off.any():
+        raise VortexError(f"winding not integral: {w[off][0]}")
+    return deg.astype(int)
 
 
 def cell_boundary_loop(n: int) -> np.ndarray:
@@ -168,32 +174,70 @@ def _torus_delta(p, q, R):
     return (d + R / 2.0) % R - R / 2.0
 
 
-def _circumcircle(a, b, c):
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if abs(d) < 1e-14:
-        # collinear: fall back to the diameter of the extreme pair
-        pts = [a, b, c]
-        best = None
-        for i in range(3):
-            for j in range(i + 1, 3):
-                dist = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
-                if best is None or dist > best[0]:
-                    mid = ((pts[i][0] + pts[j][0]) / 2, (pts[i][1] + pts[j][1]) / 2)
-                    best = (dist, mid)
-        return best[1], best[0] / 2.0
-    ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay)
-          + (cx**2 + cy**2) * (ay - by)) / d
-    uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx)
-          + (cx**2 + cy**2) * (bx - ax)) / d
-    return (ux, uy), math.hypot(ax - ux, ay - uy)
+def _runs(first: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, run): the indices first[k], ..., first[k] + length[k] - 1 of
+    every run k, concatenated, and the run each belongs to."""
+    run = np.repeat(np.arange(len(length)), length)
+    return np.arange(run.size) - (np.cumsum(length) - length - first)[run], run
 
 
-def enclosing_disk(points, rng=None) -> tuple[tuple[float, float], float]:
-    """Minimal enclosing disk (randomized incremental construction) of a
-    (k, 2) array of finite points."""
+# the two support points (besides the new one) of the candidate circles in
+# _enclosing_disks: diameters to each, then circumcircles through each pair
+_CANDIDATES = np.array([[0, 0], [1, 1], [2, 2], [0, 1], [0, 2], [1, 2]])
+
+
+def _enclosing_disks(points: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal enclosing disk of every run points[starts[k]:starts[k + 1]]
+    at once, as (centers (C, 2), radii (C,)).
+
+    The support-set iteration of Elzinga and Hearn (Management Science 19,
+    1972): each run holds the disk of three support points, padded with
+    copies of its own points.  While a run has a point farther than
+    radius + tol from its centre, its farthest point p joins the support,
+    and the new disk is the smallest of the 6 circles through p and one or
+    two support points (diameters and circumcircles) that holds all four
+    points: p lies outside the old disk, so it is on the minimal disk of
+    the four, which passes through one or two of the others.  The radius
+    grows at every step, so no support set returns and the iteration ends,
+    in a handful of steps for lattice blobs.  tol is 1e-12 times a run's
+    largest coordinate (at least 1), so a run's disk does not depend on the
+    other runs solved with it.
+    """
+    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(points)))
+    tol = 1e-12 * np.maximum(1.0, np.maximum.reduceat(np.abs(points).max(axis=1), starts))
+    index = np.arange(len(points))
+    support = np.repeat(points[starts, None], 3, axis=1)
+    centers, radii = points[starts].copy(), np.zeros(len(starts))
+    while True:
+        dist = np.hypot(*(points - centers[run]).T)
+        top = np.maximum.reduceat(dist, starts)
+        far = np.minimum.reduceat(np.where(dist == top[run], index, len(points)), starts)
+        k = np.flatnonzero(top > radii + tol)
+        if not k.size:
+            return centers, radii
+        p, q = points[far[k]], support[k]
+        e = q - p[:, None]  # the support points relative to p
+        a, b = e[:, _CANDIDATES[3:, 0]], e[:, _CANDIDATES[3:, 1]]
+        cross = 2.0 * (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+        aa, bb = np.sum(a * a, axis=-1), np.sum(b * b, axis=-1)
+        # circumcentre w relative to p: 2 w.a = |a|^2 and 2 w.b = |b|^2
+        w = np.stack([b[..., 1] * aa - a[..., 1] * bb, a[..., 0] * bb - b[..., 0] * aa], axis=-1)
+        np.divide(w, cross[..., None], out=w, where=cross[..., None] != 0.0)
+        offsets = np.concatenate([e / 2.0, w], axis=1)
+        r = np.hypot(offsets[..., 0], offsets[..., 1])
+        reach = np.hypot(*np.moveaxis(e[:, None] - offsets[:, :, None], -1, 0)).max(axis=2)
+        fits = np.concatenate([np.ones_like(cross, bool), cross != 0.0], axis=1)
+        fits &= reach <= r + tol[k, None]
+        best = np.argmin(np.where(fits, r, np.inf), axis=1)
+        pick = np.arange(k.size)
+        centers[k] = p + offsets[pick, best]
+        radii[k] = r[pick, best]
+        support[k] = np.stack([p, *np.moveaxis(q[pick[:, None], _CANDIDATES[best]], 1, 0)], axis=1)
+
+
+def enclosing_disk(points) -> tuple[tuple[float, float], float]:
+    """Minimal enclosing disk of a (k, 2) array of finite points: the
+    one-run call of the support-set iteration _enclosing_disks."""
     arr = np.asarray(points, dtype=float)
     if arr.size == 0:
         raise VortexError("empty point set")
@@ -201,31 +245,11 @@ def enclosing_disk(points, rng=None) -> tuple[tuple[float, float], float]:
         raise VortexError(f"points must be a (k, 2) array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise VortexError("non-finite point")
-    pts = [tuple(p) for p in arr.tolist()]
-    rng = rng or np.random.default_rng(0)
-    rng.shuffle(pts)
-    eps = 1e-12
-    # containment |p - c| <= r + eps inline: a call per point costs more than the test
-    c, r = pts[0], 0.0
-    for i, p in enumerate(pts):
-        if math.hypot(p[0] - c[0], p[1] - c[1]) <= r + eps:
-            continue
-        c, r = p, 0.0
-        for j in range(i):
-            q = pts[j]
-            if math.hypot(q[0] - c[0], q[1] - c[1]) <= r + eps:
-                continue
-            c = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
-            r = math.hypot(p[0] - q[0], p[1] - q[1]) / 2.0
-            for k in range(j):
-                s = pts[k]
-                if math.hypot(s[0] - c[0], s[1] - c[1]) <= r + eps:
-                    continue
-                c, r = _circumcircle(p, q, s)
-    return c, r
+    c, r = _enclosing_disks(arr, np.zeros(1, np.intp))
+    return (float(c[0, 0]), float(c[0, 1])), float(r[0])
 
 
-def _components(mask: np.ndarray) -> list[np.ndarray]:
+def _components(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Connected components of a boolean mask, periodic across both seams.
 
     4-connected labelling of the flagged sites by root hooking and pointer
@@ -233,12 +257,13 @@ def _components(mask: np.ndarray) -> list[np.ndarray]:
     the larger of two adjacent roots onto the smaller, then jumps pointers
     until every site points at its root.  A root is never hooked onto a larger
     index, so each component's root is its first site in row-major order.
-    Components come in the order of their first sites, with their sites in
-    row-major order.
+    Returns (sites, starts): the (k, 2) flagged sites grouped by component,
+    components in the order of their first sites and sites in row-major
+    order within each, and the index in sites of each component's first site.
     """
     i, j = np.nonzero(mask)
     if i.size == 0:
-        return []
+        return np.zeros((0, 2), np.intp), np.zeros(0, np.intp)
     site = np.arange(i.size)
     index = np.full(mask.shape, -1, dtype=np.intp)
     index[i, j] = site
@@ -262,86 +287,116 @@ def _components(mask: np.ndarray) -> list[np.ndarray]:
                 break
             parent = jumped
     order = np.argsort(parent, kind="stable")
-    sites = np.column_stack([i, j])[order]
-    return np.split(sites, np.flatnonzero(np.diff(parent[order])) + 1)
+    root = parent[order]
+    return np.column_stack([i, j])[order], np.flatnonzero(np.diff(root, prepend=-1))
 
 
-def _component_disk(comp: np.ndarray, grid) -> tuple[tuple[float, float], float]:
-    """Minimal enclosing disk of a component's sites, unwrapped about its
-    first site, with the centre reduced back into the cell."""
+def _component_disks(sites: np.ndarray, starts: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal enclosing disk of every component's sites, each unwrapped
+    about its first site, with the centres reduced back into the cell."""
     n, h, R = grid.n, grid.h, grid.R
-    ref = comp[0]
+    comp = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(sites)))
+    ref = sites[starts]
     # unwrap indices to the nearest periodic image of the reference site
-    di = (comp[:, 0] - ref[0] + n // 2) % n - n // 2
-    dj = (comp[:, 1] - ref[1] + n // 2) % n - n // 2
-    if np.ptp(di) >= n // 2 or np.ptp(dj) >= n // 2:
+    d = (sites - ref[comp] + n // 2) % n - n // 2
+    wide = np.flatnonzero(np.any(np.maximum.reduceat(d, starts) - np.minimum.reduceat(d, starts)
+                                 >= n // 2, axis=1))
+    if wide.size:
         # a component this wide may wrap around the torus: no disk in the
         # plane stands for it, and its degree would not be a vortex count
+        size = np.diff(starts, append=len(sites))[wide[0]]
         raise VortexError(
-            f"a component of {comp.shape[0]} sites spans half the cell or more; "
+            f"a component of {size} sites spans half the cell or more; "
             "it cannot be unwrapped onto one disk (is the threshold above max |u|?)"
         )
     # only the least and greatest column of each row can lie on the minimal
     # circle: a site strictly between them is on the chord that joins them,
-    # which is strictly inside every disk holding both ends
-    order = np.lexsort((dj, di))
-    di, dj = di[order], dj[order]
-    new_row = di[1:] != di[:-1]
-    ends = np.ones(di.size, dtype=bool)
-    ends[1:-1] = new_row[:-1] | new_row[1:]
-    xs = -R / 2 + (ref[0] + di[ends]) * h
-    ys = -R / 2 + (ref[1] + dj[ends]) * h
-    c, r = enclosing_disk(np.column_stack([xs, ys]))
-    # reduce the center back into the fundamental cell
-    cx = (c[0] + R / 2.0) % R - R / 2.0
-    cy = (c[1] + R / 2.0) % R - R / 2.0
-    return (cx, cy), r
+    # which is strictly inside every disk holding both ends.  A component's
+    # sites are row-major, so each row is one run of them
+    row = np.ones(len(sites), dtype=bool)
+    row[1:] = sites[1:, 0] != sites[:-1, 0]
+    row[starts] = True
+    row = np.flatnonzero(row)
+    comp = comp[row]
+    ends = np.stack([d[row, 0], np.minimum.reduceat(d[:, 1], row),
+                     d[row, 0], np.maximum.reduceat(d[:, 1], row)], axis=1).reshape(-1, 2)
+    points = -R / 2 + (np.repeat(ref[comp], 2, axis=0) + ends) * h
+    centers, radii = _enclosing_disks(points, 2 * np.flatnonzero(np.diff(comp, prepend=-1)))
+    return (centers + R / 2.0) % R - R / 2.0, radii
 
 
-def _merge_disks(disks, R, clearance):
-    disks = list(disks)
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        while disks:
-            c1, r1 = disks.pop()
-            merged = False
-            for k, (c2, r2) in enumerate(out):
-                # _torus_delta in Python floats: numpy on 2-tuples costs more
-                d = ((c1[0] - c2[0] + R / 2) % R - R / 2, (c1[1] - c2[1] + R / 2) % R - R / 2)
-                dist = math.hypot(d[0], d[1])
-                if dist < r1 + r2 + clearance:
-                    if dist + min(r1, r2) <= max(r1, r2):
-                        c, r = (c1, r1) if r1 >= r2 else (c2, r2)
-                    else:
-                        t = (dist + r1 - r2) / (2.0 * max(dist, 1e-300))
-                        c = (c2[0] + t * d[0], c2[1] + t * d[1])
-                        c = ((c[0] + R / 2) % R - R / 2, (c[1] + R / 2) % R - R / 2)
-                        r = (dist + r1 + r2) / 2.0
-                    out[k] = (c, r)
-                    merged = changed = True
-                    break
-            if not merged:
-                out.append((c1, r1))
-        disks = out
-    return disks
+def _merge_pair(c1, r1, c2, r2, R):
+    """The smallest disk holding two disks, its centre reduced into the cell."""
+    # _torus_delta in Python floats: numpy on 2-tuples costs more
+    d = ((c1[0] - c2[0] + R / 2) % R - R / 2, (c1[1] - c2[1] + R / 2) % R - R / 2)
+    dist = math.hypot(d[0], d[1])
+    if dist + min(r1, r2) <= max(r1, r2):
+        return (c1, r1) if r1 >= r2 else (c2, r2)
+    t = (dist + r1 - r2) / (2.0 * max(dist, 1e-300))
+    c = (c2[0] + t * d[0], c2[1] + t * d[1])
+    return ((c[0] + R / 2) % R - R / 2, (c[1] + R / 2) % R - R / 2), (dist + r1 + r2) / 2.0
 
 
-def _circle_loop(center, radius, grid) -> np.ndarray:
-    """Closed counterclockwise loop of 8-neighbour lattice steps, as a
-    (k + 1, 2) index array: the sites nearest the circle of radius
-    radius + h/2 about center at ceil(8 (radius + h/2)/h) angles, repeats
-    dropped.  Samples lie under h apart per axis, so their sites differ by
-    at most one step, and each site is within h/sqrt(2) of the circle."""
+def _merge_disks(centers, radii, R, clearance) -> tuple[np.ndarray, np.ndarray]:
+    """Merge disks that come within clearance of each other on the torus,
+    until none do, as (centers (k, 2), radii (k,)).
+
+    A pass pops the disks from the end; each pop is merged into the first
+    kept disk it comes within clearance of, or else kept, and passes repeat
+    until one merges nothing.  Between two merges the pops
+    are tested at once: those before the first that meets a kept disk or an
+    earlier pop are all kept.
+    """
+    c, r = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)
+    merged = True
+    while merged:
+        merged = False
+        kept_c, kept_r, todo_c, todo_r = c[:0], r[:0], c[::-1], r[::-1]
+        while len(todo_r):
+            m, t = len(kept_r), len(todo_r)
+            seq_c, seq_r = np.concatenate([kept_c, todo_c]), np.concatenate([kept_r, todo_r])
+            d = (todo_c[:, None] - seq_c + R / 2) % R - R / 2
+            meets = np.hypot(d[..., 0], d[..., 1]) < todo_r[:, None] + seq_r + clearance
+            meets &= np.arange(m + t) < m + np.arange(t)[:, None]  # kept before the pop
+            hit = np.flatnonzero(meets.any(axis=1))
+            if not hit.size:
+                kept_c, kept_r = seq_c, seq_r
+                break
+            k, s = hit[0], np.argmax(meets[hit[0]])
+            kept_c, kept_r = seq_c[:m + k].copy(), seq_r[:m + k].copy()
+            kept_c[s], kept_r[s] = _merge_pair(todo_c[k].tolist(), float(todo_r[k]),
+                                               kept_c[s].tolist(), float(kept_r[s]), R)
+            todo_c, todo_r = todo_c[k + 1:], todo_r[k + 1:]
+            merged = True
+        c, r = kept_c, kept_r
+    return c, r
+
+
+def _circle_loops(centers: np.ndarray, radii: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Every ball's closed counterclockwise loop of 8-neighbour lattice
+    steps, concatenated as one (K, 2) index array, and the index where each
+    loop starts; each loop's last site repeats its first.
+
+    A ball's loop holds the sites nearest the circle of radius radius + h/2
+    about its centre at ceil(8 (radius + h/2)/h) angles, repeats dropped.
+    Samples lie under h apart per axis, so their sites differ by at most
+    one step, and each site is within h/sqrt(2) of the circle.
+    """
     h, R = grid.h, grid.R
-    rho = radius / h + 0.5
-    m = math.ceil(8 * rho)
+    rho = radii / h + 0.5
+    m = np.ceil(8 * rho).astype(np.intp)
+    k, ball = _runs(np.zeros(len(m), np.intp), m)
     # site i + 1j j of each sample, in units of h from the lattice origin
-    z = np.rint(complex(center[0] + R / 2, center[1] + R / 2) / h
-                + rho * np.exp(np.arange(m) * (1j * TWO_PI / m)))
-    z = z[z != np.concatenate([z[1:], z[:1]])]  # the last of each run on one site
-    return np.concatenate([z, z[:1]]).view(float).reshape(-1, 2).astype(int)
+    origin = ((centers + R / 2) / h).view(np.complex128)[:, 0]
+    z = np.rint(origin[ball] + rho[ball] * np.exp(1j * (k * (TWO_PI / m)[ball])))
+    last = np.cumsum(m) - 1
+    nxt = np.arange(1, z.size + 1)
+    nxt[last] = last - m + 1
+    keep = z != z[nxt]  # the last of each run on one site, cyclically per ball
+    z, count = z[keep], np.bincount(ball[keep], minlength=len(m))
+    first = np.cumsum(count) - count
+    z = np.insert(z, first + count, z[first])  # close every loop
+    return z.view(float).reshape(-1, 2).astype(int), first + np.arange(len(m))
 
 
 def find_balls(
@@ -351,31 +406,30 @@ def find_balls(
 ) -> list[VortexBall]:
     """Disjoint vortex balls covering {|u| < threshold}, with degrees.
 
-    Each degree is the winding of u/|u| on the ball's one loop,
-    _circle_loop, which hugs it and is clean by construction: its sites lie
-    between r - 0.21h and r + 1.21h from the centre, the ball's own
-    components within r - h, and every other ball's beyond r + 2h, so
-    |u| >= threshold on the loop and the winding counts exactly the ball's
-    own zeros.
+    The balls are arrays through the pass: every component's minimal
+    enclosing disk comes from one batched support-set iteration
+    (_component_disks), the disks are merged in a fixed order
+    (_merge_disks), and every loop and degree from one concatenated sample
+    array with segment sums (_circle_loops, _loop_degrees).  Each degree is
+    the winding of u/|u| on the ball's one loop, which hugs it and is clean
+    by construction: its sites lie between r - 0.21h and r + 1.21h from the
+    centre, the ball's own components within r - h, and every other ball's
+    beyond r + 2h, so |u| >= threshold on the loop and the winding counts
+    exactly the ball's own zeros.
     """
     g = field.grid
-    mask = np.abs(field.u) < threshold
-    comps = _components(mask)
-    disks = [_component_disk(c, g) for c in comps]
+    sites, starts = _components(np.abs(field.u) < threshold)
+    if not starts.size:
+        return []
+    centers, radii = _component_disks(sites, starts, g)
     # clearance h keeps every loop off the support sites, its own and the
     # other balls', which _merge_disks leaves r_i + r_j + h apart
-    disks = [(c, r + g.h) for c, r in disks]
-    disks = _merge_disks(disks, g.R, clearance=g.h)
-    if not disks:
-        return []
-    # every ball's loop in one wrap_value call
-    loops = [_circle_loop(c, r, g) for c, r in disks]
-    idx = np.concatenate(loops)
-    vals = np.split(wrap_value(field.u, field.wrap, idx[:, 0], idx[:, 1]),
-                    np.cumsum([len(loop) for loop in loops])[:-1])
-    return [VortexBall(center=(float(c[0]), float(c[1])), radius=float(r),
-                       degree=_loop_degree(v))
-            for (c, r), v in zip(disks, vals)]
+    centers, radii = _merge_disks(centers, radii + g.h, g.R, clearance=g.h)
+    loops, loop_starts = _circle_loops(centers, radii, g)
+    degrees = _loop_degrees(wrap_value(field.u, field.wrap, loops[:, 0], loops[:, 1]),
+                            loop_starts)
+    return [VortexBall(center=(x, y), radius=r, degree=d)
+            for (x, y), r, d in zip(centers.tolist(), radii.tolist(), degrees.tolist())]
 
 
 def radius_budget(b: float) -> float:
@@ -470,7 +524,13 @@ def classify_squares(
 
 def coverage_gaps(field: DiscreteField, balls, b: float) -> int:
     """Sites with ||u| - 1| >= b^(1/16), inside the inner square margins,
-    not covered by any ball.  Returns the count of uncovered sites."""
+    not covered by any ball.  Returns the count of uncovered sites.
+
+    Each ball is tested only against the flagged sites in its window, those
+    with x within its radius + h on the torus: the sites come sorted by x,
+    so a window is at most three runs found by bisection (one per periodic
+    image of the ball along x), and memory stays O(sites + window pairs).
+    """
     g = field.grid
     k, m = _square_grid(g)
     side = g.R / k
@@ -478,18 +538,25 @@ def coverage_gaps(field: DiscreteField, balls, b: float) -> int:
     gap = np.abs(field.u)  # ||u| - 1|, formed in the |u| buffer
     gap -= 1.0
     flagged = np.argwhere(np.abs(gap, out=gap) >= b ** (1.0 / 16.0))
-    x = -g.R / 2 + flagged[:, 0] * g.h
+    x = -g.R / 2 + flagged[:, 0] * g.h  # row-major sites: x never decreases
     y = -g.R / 2 + flagged[:, 1] * g.h
     dx1 = (x + g.R / 2) % side
     dx2 = (y + g.R / 2) % side
     inner = np.minimum.reduce([dx1, side - dx1, dx2, side - dx2]) > margin
     x, y = x[inner], y[inner]
-    # one ball at a time keeps memory O(sites); covered sites drop out
-    for ball in balls:
-        d = np.hypot(_torus_delta(x, ball.center[0], g.R), _torus_delta(y, ball.center[1], g.R))
-        uncovered = d > ball.radius
-        x, y = x[uncovered], y[uncovered]
-    return int(x.size)
+    if not balls or not x.size:
+        return int(x.size)
+    cx, cy = np.array([ball.center for ball in balls]).T
+    r = np.array([ball.radius for ball in balls])
+    shifts = np.array([-g.R, 0.0, g.R])[:, None]
+    lo = np.searchsorted(x, cx - r - g.h + shifts, "left").ravel()
+    hi = np.searchsorted(x, cx + r + g.h + shifts, "right").ravel()
+    site, window = _runs(lo, hi - lo)
+    ball = window % len(r)
+    d = np.hypot(_torus_delta(x[site], cx[ball], g.R), _torus_delta(y[site], cy[ball], g.R))
+    covered = np.zeros(x.size, dtype=bool)
+    covered[site[d <= r[ball]]] = True
+    return int(x.size - np.count_nonzero(covered))
 
 
 def vorticity(field: DiscreteField) -> VorticityField:
@@ -506,8 +573,9 @@ def vorticity(field: DiscreteField) -> VorticityField:
 
     def current(axis):
         # the current j = Im(conj(u) D u) / h on the links along axis,
-        # formed in d as Im(u conj(D u)) / -h
-        op.D_axis(u, axis, d)
+        # formed in d as Im(u conj(c u(x + h e))) / -h: D u = c u(x + h e) - u
+        # and Im(conj(u) u) = 0, so the difference is never formed
+        op._hop(u, axis, d)
         np.multiply(u, np.conjugate(d, out=d), out=d)
         d.imag /= -g.h
         return d.imag
@@ -631,8 +699,10 @@ def _level_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry) -> np.ndarray:
                     np.maximum(kernel, 0.0, out=kernel)
                     block += np.einsum("abij,ij->ab", windows[:, :, a:a + rows], kernel)
                 sums[np.ix_(ti, tj)] = block
-    else:
+    elif len(mu.weights):
         sums = _scattered_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry)
+    else:  # no atoms, only the background, as in uniform_measure
+        sums = np.zeros((len(cx), len(cy)))
     if mu.uniform_density:
         # exact cone integral: int (s - |x - c|)_+ dx = pi s^3 / 3
         sums += mu.uniform_density * math.pi * np.minimum.outer(rx, ry) ** 3 / 3.0

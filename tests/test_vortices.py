@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import glcell.vortices as vortices
+from glcell.analysis import aggregate_tiles
 from glcell.energy import DiscreteField, covariant_differences, energy
 from glcell.grid import TWO_PI, CellConfig, WrapRule, build_grid, wrap_value
 from glcell.trial import build_trial, trial_config
@@ -16,11 +18,13 @@ from glcell.vortices import (
     LatticeMeasure,
     VortexError,
     VorticityField,
-    _circle_loop,
-    _component_disk,
+    _circle_loops,
+    _component_disks,
     _components,
+    _enclosing_disks,
     _level_pairings,
     _merge_disks,
+    _scattered_pairings,
     _torus_delta,
     cell_boundary_loop,
     classify_squares,
@@ -50,9 +54,15 @@ def synthetic_field(n=48, N=1, b=0.5, profile="one"):
     return DiscreteField(u=u.astype(complex), grid=g, wrap=wrap)
 
 
+def circle_loop(center, radius, grid):
+    """The closed loop _circle_loops gives one ball."""
+    loop, _ = _circle_loops(np.array([center], dtype=float), np.array([radius]), grid)
+    return loop
+
+
 def test_winding_basic():
     f = synthetic_field(profile="zero1")
-    loop = _circle_loop((0.0, 0.0), 3 * f.grid.h, f.grid)
+    loop = circle_loop((0.0, 0.0), 3 * f.grid.h, f.grid)
     assert winding(f, loop) == 1
     conj = DiscreteField(u=np.conj(f.u), grid=f.grid, wrap=f.wrap)
     assert winding(conj, loop) == -1
@@ -101,7 +111,7 @@ def test_lattice_loops_walk_square_boundaries():
     assert np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]) == 2 * side**2
     # a loop given as pairs and the same loop as an array wind alike
     f = synthetic_field(profile="zero1")
-    loop = _circle_loop((0.0, 0.0), 3 * f.grid.h, f.grid)
+    loop = circle_loop((0.0, 0.0), 3 * f.grid.h, f.grid)
     assert winding(f, [tuple(p) for p in loop]) == winding(f, loop) == 1
 
 
@@ -114,7 +124,7 @@ def test_circle_loop_hugs_its_ball(fx, fy, fr):
     # between r - h and r + 2h from the centre
     g = build_grid(CellConfig(b=0.5, N=1, n=48))
     center, r = (fx * g.R, fy * g.R), g.h + fr * (g.R / 4 - g.h)
-    loop = _circle_loop(center, r, g)
+    loop = circle_loop(center, r, g)
     assert np.array_equal(loop[0], loop[-1])
     assert np.all(np.abs(np.diff(loop, axis=0)).max(axis=1) == 1)
     x, y = -g.R / 2 + loop[:, 0] * g.h, -g.R / 2 + loop[:, 1] * g.h
@@ -126,7 +136,7 @@ def test_circle_loop_hugs_its_ball(fx, fy, fr):
 
 def ball_loop_minimum(f, ball):
     """min |u| on the loop whose winding is the ball's degree."""
-    loop = _circle_loop(ball.center, ball.radius, f.grid)
+    loop = circle_loop(ball.center, ball.radius, f.grid)
     return float(np.abs(wrap_value(f.u, f.wrap, loop[:, 0], loop[:, 1])).min())
 
 
@@ -150,8 +160,8 @@ def brute_force_disk(pts, tol):
     return float(np.min(radii[reach <= radii + tol]))
 
 
-def check_enclosing_disk(pts, rng):
-    c, r = enclosing_disk(pts, rng)
+def check_enclosing_disk(pts):
+    c, r = enclosing_disk(pts)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(pts))))
     assert np.max(np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])) <= r + tol
     assert abs(r - brute_force_disk(pts, tol)) <= tol
@@ -160,16 +170,15 @@ def check_enclosing_disk(pts, rng):
 def test_enclosing_disk_minimal():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        check_enclosing_disk(rng.standard_normal((rng.integers(1, 40), 2)), rng)
+        check_enclosing_disk(rng.standard_normal((rng.integers(1, 40), 2)))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=8),
-       st.integers(0, 2**32 - 1))
-def test_enclosing_disk_minimal_on_lattice_points(points, seed):
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=8))
+def test_enclosing_disk_minimal_on_lattice_points(points):
     # a small lattice makes collinear triples, repeated points and several
     # points on one circle common
-    check_enclosing_disk(np.array(points, dtype=float), np.random.default_rng(seed))
+    check_enclosing_disk(np.array(points, dtype=float))
 
 
 def test_enclosing_disk_rejects_bad_points():
@@ -210,12 +219,65 @@ def test_component_disk_matches_all_sites(start, moves):
     blob = grow_blob(start, moves)
     wrapped = np.mod(blob, g.n)
     order = np.lexsort((wrapped[:, 1], wrapped[:, 0]))
-    c, r = _component_disk(wrapped[order], g)
+    (c,), (r,) = _component_disks(wrapped[order], np.zeros(1, np.intp), g)
     want_c, want_r = enclosing_disk(-g.R / 2 + blob * g.h)
     tol = 1e-12 * g.R
     assert abs(r - want_r) <= tol
     assert math.hypot(*_torus_delta(c, want_c, g.R)) <= tol
     assert all(-g.R / 2 <= x < g.R / 2 for x in c)
+
+
+def test_batched_disks_match_brute_force_and_one_run():
+    # 60 runs of 1 to 30 points, solved at once: each disk is minimal and
+    # bit-identical to its run solved alone, so padding and tolerances do
+    # not leak between runs; small lattices make ties and cocircular points
+    rng = np.random.default_rng(11)
+    runs = [rng.standard_normal((rng.integers(1, 31), 2)) * rng.choice([0.01, 1.0, 30.0])
+            for _ in range(30)]
+    runs += [rng.integers(-3, 4, (rng.integers(1, 9), 2)).astype(float) for _ in range(30)]
+    starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
+    centers, radii = _enclosing_disks(np.concatenate(runs), starts)
+    for pts, c, r in zip(runs, centers, radii):
+        (one_c,), (one_r,) = _enclosing_disks(pts, np.zeros(1, np.intp))
+        assert np.array_equal(c, one_c) and r == one_r
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(pts))))
+        assert np.max(np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])) <= r + tol
+        assert abs(r - brute_force_disk(pts, tol)) <= tol
+
+
+DEGENERATE_BLOBS = {
+    "one_site": [(5, 7)],
+    "two_sites": [(5, 7), (5, 8)],
+    "one_row": [(5, j) for j in range(3, 12)],
+    "one_column": [(i, 7) for i in range(2, 9)],
+    "block_2x2": [(5, 7), (5, 8), (6, 7), (6, 8)],
+    "across_x_seam": [(i, 20) for i in range(-3, 4)] + [(0, 21), (1, 19)],
+    "across_both_seams": [(i, j) for i in range(-2, 2) for j in range(-1, 3)] + [(2, 0)],
+}
+
+
+def test_component_disks_degenerate_shapes():
+    # every shape alone and all of them at once (as _components lays them
+    # out: row-major wrapped sites per component) against the brute-force
+    # disk of the unwrapped sites
+    g = build_grid(CellConfig(b=0.5, N=1, n=96))
+    comps, wants = [], []
+    for blob in map(np.array, DEGENERATE_BLOBS.values()):
+        wrapped = np.mod(blob, g.n)
+        comps.append(wrapped[np.lexsort((wrapped[:, 1], wrapped[:, 0]))])
+        pts = -g.R / 2 + blob * g.h
+        wants.append((pts, brute_force_disk(pts, 1e-12 * g.R)))
+    starts = np.cumsum([0] + [len(c) for c in comps[:-1]])
+    centers, radii = _component_disks(np.concatenate(comps), starts, g)
+    tol = 1e-12 * g.R
+    for comp, (pts, want_r), c, r in zip(comps, wants, centers, radii):
+        (one_c,), (one_r,) = _component_disks(comp, np.zeros(1, np.intp), g)
+        assert np.array_equal(c, one_c) and r == one_r
+        assert abs(r - want_r) <= tol
+        assert np.max(np.hypot(*_torus_delta(pts, c, g.R).T)) <= r + tol
+        assert all(-g.R / 2 <= x < g.R / 2 for x in c)
+    assert radii[0] == 0.0 and abs(radii[1] - g.h / 2) <= tol
+    assert abs(radii[4] - g.h / math.sqrt(2)) <= tol
 
 
 def test_find_balls_trivial_and_synthetic():
@@ -240,7 +302,7 @@ def test_find_balls_grows_a_loop_that_dips():
     assert sorted(ball.degree for ball in balls) == [0, 1]
     for ball in balls:
         assert ball_loop_minimum(f, ball) >= 0.5
-        assert ball.degree == winding(f, _circle_loop(ball.center, ball.radius, g))
+        assert ball.degree == winding(f, circle_loop(ball.center, ball.radius, g))
 
 
 @pytest.mark.parametrize("offset", [5.5, 6.0])
@@ -276,7 +338,7 @@ def test_find_balls_trial_lattice():
     # each ball sits at a cell center, and the winding on an explicit circle
     # of radius 2 sqrt(b) agrees
     for ball in balls:
-        loop = _circle_loop(ball.center, 2.0 * math.sqrt(b), g)
+        loop = circle_loop(ball.center, 2.0 * math.sqrt(b), g)
         assert winding(f, loop) == 1
     # pairwise disjoint
     for i in range(len(balls)):
@@ -424,6 +486,23 @@ def test_vorticity_flux_is_connection_holonomy(reference_operator):
     assert abs(v.total_mass - TWO_PI * N) <= 1e-9
 
 
+def test_vorticity_matches_the_difference_form(minimizer_b005, minimizer_b002):
+    # the currents Im(conj(u) c u(x + h e)) / h drop D u's - u, since
+    # Im(conj(u) u) = 0: mu matches the form with D u to rounding, about
+    # 2e-16 on unit-size u (1e-14 of max |mu|, which is near 0.015 here),
+    # and the mass stays 2 pi N
+    fields = [build_trial(b, N, build_grid(trial_config(b, N)))
+              for b, N in ((0.1, 1), (0.04, 4), (0.02, 16))]
+    for f in fields + [minimizer_b005.field, minimizer_b002.field]:
+        g = f.grid
+        dx, dy = covariant_differences(f)
+        jx, jy = (np.conj(f.u) * dx).imag / g.h, (np.conj(f.u) * dy).imag / g.h
+        want = g.h * (jx + np.roll(jy, -1, axis=0) - np.roll(jx, -1, axis=1) - jy) + g.h**2
+        v = vorticity(f)
+        assert np.max(np.abs(v.mu - want)) <= 1e-15 * np.max(np.abs(f.u)) ** 2
+        assert abs(v.total_mass - TWO_PI * g.N) <= 1e-12
+
+
 def test_vorticity_concentrates_at_trial_cores():
     b, N = 0.04, 4
     g = build_grid(trial_config(b, N))
@@ -558,6 +637,52 @@ def test_uniform_measure_pairing():
         rep = lipschitz_dual_distance(leb, empty, dom, depth)
         assert abs(rep.estimate - 2.0 * math.pi * 0.5**3 / 3.0) < 1e-14
         assert rep.witness == (0.5, 0.5, 0.5)
+
+
+def atom_pass_for_every_measure(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry):
+    """_level_pairings with every DiscreteMeasure, atoms or none, sent
+    through _scattered_pairings before its background is added."""
+    if isinstance(mu, LatticeMeasure) or len(mu.weights):
+        return _level_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry)
+    sums = _scattered_pairings(mu, x_lo, y_lo, sx, sy, cx, cy, rx, ry)
+    return sums + mu.uniform_density * math.pi * np.minimum.outer(rx, ry) ** 3 / 3.0
+
+
+def test_measure_without_atoms_skips_the_atom_pass(monkeypatch):
+    # uniform_measure has no atoms, so only its background is paired: the
+    # estimate, every level's pairings and the witness are bit-identical to
+    # sending it through the atom pass, on the n=568 vorticity lattice at
+    # depths 0..6 and for aggregate_tiles
+    b, N = 0.02, 16
+    f = build_trial(b, N, build_grid(trial_config(b, N)))
+    assert f.grid.n == 568
+    mu = vorticity_measure(vorticity(f))
+    half = f.grid.R / 2
+    dom = (-half, half, -half, half)
+    balls = find_balls(f, b)
+
+    def run(pairings, call):
+        levels = []
+
+        def spy(*args):
+            levels.append(pairings(*args))
+            return levels[-1]
+
+        monkeypatch.setattr(vortices, "_level_pairings", spy)
+        try:
+            return call(), levels
+        finally:
+            monkeypatch.undo()
+
+    calls = [lambda d=d: lipschitz_dual_distance(mu, uniform_measure(dom, 1.0), dom, d)
+             for d in range(7)]
+    calls.append(lambda: aggregate_tiles(f, 4, b, balls=balls).distance)
+    for call in calls:
+        (got, got_levels), (want, want_levels) = (run(pairings, call) for pairings in
+                                                  (_level_pairings, atom_pass_for_every_measure))
+        assert got.estimate == want.estimate and got.witness == want.witness
+        assert len(got_levels) == len(want_levels)
+        assert all(np.array_equal(a, c) for a, c in zip(got_levels, want_levels))
 
 
 def reference_dual_distances(mu_a, mu_b, domain, depth):
@@ -870,7 +995,8 @@ def test_merge_disks_matches_numpy_offsets():
     disks += [((float(x), float(y)), float(r)) for (x, y), r in
               zip(rng.uniform(-R / 2, R / 2, (30, 2)), rng.uniform(0.05, 0.4, 30))]
     for clearance in (0.0, 0.05):
-        merged = _merge_disks(disks, R, clearance)
+        centers, radii = _merge_disks([c for c, _ in disks], [r for _, r in disks], R, clearance)
+        merged = [(tuple(c), r) for c, r in zip(centers.tolist(), radii.tolist())]
         assert merged == numpy_merge(disks, clearance)
         assert len(merged) < len(disks)
 
@@ -903,11 +1029,13 @@ def test_components_match_dict_reference():
         mask[:, trial % n] |= trial % 3 == 0
         mask[trial % n, :] |= trial % 4 == 0
         assert_same_components(mask)
-    assert _components(np.zeros((8, 8), dtype=bool)) == []
+    sites, starts = _components(np.zeros((8, 8), dtype=bool))
+    assert sites.shape == (0, 2) and starts.size == 0
 
 
 def assert_same_components(mask):
-    got, want = _components(mask), reference_components(mask)
+    sites, starts = _components(mask)
+    got, want = np.split(sites, starts[1:]), reference_components(mask)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -11,6 +11,7 @@ error, not a JSON extension.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -167,24 +168,15 @@ def cmd_vortices(args) -> int:
     field, b = read_snapshot(args.snapshot)
     outdir = _out_dir(cfg)
     balls = find_balls(field, b)
-    _write_json(outdir / "balls.json", [
-        {"center": list(ball.center), "radius": ball.radius, "degree": ball.degree}
-        for ball in balls
-    ])
+    # every record holds its dataclass's fields in their order; a square's
+    # balls are listed in balls.json already
+    _write_json(outdir / "balls.json", [dataclasses.asdict(ball) for ball in balls])
     reports = classify_squares(field, b, C_star=c_star, balls=balls)
     with open(outdir / "squares.jsonl", "w") as fh:
         for rep in reports:
-            fh.write(json.dumps({
-                "index": rep.index,
-                "bounds": list(rep.bounds),
-                "energy": rep.energy,
-                "good": rep.good,
-                "d_plus": rep.d_plus,
-                "d_minus": rep.d_minus,
-                "d_total": rep.d_total,
-                "radius_total": rep.radius_total,
-                "radius_budget_exceeded": rep.radius_budget_exceeded,
-            }, allow_nan=False) + "\n")
+            record = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
+                      if f.name != "balls"}
+            fh.write(json.dumps(record, allow_nan=False) + "\n")
     vf = vorticity(field)
     mu_field = DiscreteField(u=vf.mu.astype(complex), grid=field.grid, wrap=field.wrap)
     write_snapshot(outdir / "vorticity.glc", mu_field, b)

@@ -6,9 +6,10 @@ covered by its minimal enclosing disk, all of them from one batched
 support-set iteration; intersecting disks are merged until the collection is
 pairwise disjoint, and each ball gets an integer degree from the winding of
 u/|u| along one lattice loop that hugs it, all loops wound in one array with
-segment sums.  The cell tiles into N congruent squares of area 2*pi which are classified good or bad by
-their local energy, and the vorticity measure mu = curl j + curl A0 always
-carries total mass 2*pi*N by telescoping.  mu stays on its plaquette lattice
+segment sums.  The cell tiles into N congruent squares of area 2*pi, which
+are classified good or bad by their local energy, reduced square by square
+from one complex buffer, and the vorticity measure mu = curl j + curl A0
+always carries total mass 2*pi*N by telescoping.  mu stays on its plaquette lattice
 (LatticeMeasure), so its Lipschitz-dual distance groups the tents of each
 axis into classes whose windows of atoms are congruent, and evaluates one
 kernel per pair of classes for all their tents at once; scattered atoms
@@ -260,19 +261,20 @@ def _components(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (sites, starts): the (k, 2) flagged sites grouped by component,
     components in the order of their first sites and sites in row-major
     order within each, and the index in sites of each component's first site.
+    Each site's lower and right neighbour is found by bisection in the
+    sorted flat indices of the flagged sites.
     """
-    i, j = np.nonzero(mask)
-    if i.size == 0:
+    flat = np.flatnonzero(mask)
+    if flat.size == 0:
         return np.zeros((0, 2), np.intp), np.zeros(0, np.intp)
-    site = np.arange(i.size)
-    index = np.full(mask.shape, -1, dtype=np.intp)
-    index[i, j] = site
     n0, n1 = mask.shape
-    below = index[(i + 1) % n0, j]
-    right = index[i, (j + 1) % n1]
-    a = np.concatenate([site[below >= 0], site[right >= 0]])
-    b = np.concatenate([below[below >= 0], right[right >= 0]])
-    parent = np.arange(i.size)
+    i, j = np.divmod(flat, n1)
+    # the edges to every site's lower neighbour, then to every right one
+    ahead = np.concatenate([(i + 1) % n0 * n1 + j, i * n1 + (j + 1) % n1])
+    b = np.searchsorted(flat, ahead) % flat.size  # past the end only when absent
+    edge = np.flatnonzero(flat[b] == ahead)
+    a, b = edge % flat.size, b[edge]
+    parent = np.arange(flat.size)
     while True:
         ra, rb = parent[a], parent[b]
         split = ra != rb
@@ -447,15 +449,6 @@ def _square_grid(grid):
     return k, grid.n // k
 
 
-def square_of_point(p, grid) -> int:
-    """Index of the area-2*pi sub-square containing the point."""
-    k, _ = _square_grid(grid)
-    side = grid.R / k
-    si = int((p[0] + grid.R / 2) // side) % k
-    sj = int((p[1] + grid.R / 2) // side) % k
-    return si * k + sj
-
-
 def classify_squares(
     field: DiscreteField,
     b: float,
@@ -468,42 +461,36 @@ def classify_squares(
     stays below C_star * |log b|.  Ball degrees only count toward a square
     when the ball sits inside the inner margin, at distance > sqrt(b) from
     the square boundary; other balls are listed with degree contribution 0.
+    Square (si, sj) is number si * k + sj of the k x k squares, and a ball
+    is filed in the square that holds its centre.
     """
     g = field.grid
     k, m = _square_grid(g)
     side = g.R / k
     if balls is None:
         balls = find_balls(field, b)
-    # local = b |D u|^2 + (h^2/2) (1 - |u|^2)^2 per site, D u one axis at a time
+    # b sum |D u|^2 + (h^2/2) sum (1 - |u|^2)^2 per square, from one buffer d:
+    # each plane is squared in place and reduced over a (k, m, k, .) view
     op, u = field.operator(), field.u
-    d, local, tmp = np.empty(u.shape, np.complex128), np.zeros(u.shape), np.empty(u.shape)
+    d = np.empty(u.shape, np.complex128)
+    planes, re = d.view(float), d.real
+    kinetic = 0.0
     for axis in (0, 1):
-        local += np.square(np.abs(op.D_axis(u, axis, d), out=tmp), out=tmp)
-    local *= b
-    np.square(np.abs(u, out=tmp), out=tmp)
-    np.square(np.subtract(1.0, tmp, out=tmp), out=tmp)
-    tmp *= 0.5 * g.h**2
-    local += tmp
+        np.square(op.D_axis(u, axis, d).view(float), out=planes)
+        kinetic += planes.reshape(k, m, k, 2 * m).sum(axis=(1, 3))
+    np.add(np.square(u.real, out=re), np.square(u.imag, out=d.imag), out=re)
+    np.square(np.subtract(1.0, re, out=re), out=re)
+    energies = b * kinetic + 0.5 * g.h**2 * re.reshape(k, m, k, m).sum(axis=(1, 3))
     margin = math.sqrt(b)
     budget = radius_budget(b)
     reports = []
-    for si in range(k):
-        for sj in range(k):
-            j_idx = si * k + sj
-            block = local[si * m:(si + 1) * m, sj * m:(sj + 1) * m]
-            e = float(np.sum(block))
-            lo1 = -g.R / 2 + si * side
-            lo2 = -g.R / 2 + sj * side
-            rep = SquareReport(
-                index=j_idx,
-                bounds=(lo1, lo1 + side, lo2, lo2 + side),
-                energy=e,
-                good=(e / b) <= C_star * abs(math.log(b)),
-            )
-            reports.append(rep)
+    for j_idx, e in enumerate(energies.ravel().tolist()):
+        lo1, lo2 = -g.R / 2 + (j_idx // k) * side, -g.R / 2 + (j_idx % k) * side
+        reports.append(SquareReport(index=j_idx, bounds=(lo1, lo1 + side, lo2, lo2 + side),
+                                    energy=e, good=(e / b) <= C_star * abs(math.log(b))))
     for ball in balls:
-        j_idx = square_of_point(ball.center, g)
-        rep = reports[j_idx]
+        si, sj = (int((x + g.R / 2) // side) % k for x in ball.center)
+        rep = reports[si * k + sj]
         rep.balls.append(ball)
         rep.radius_total += ball.radius
         lo1, hi1, lo2, hi2 = rep.bounds
@@ -532,14 +519,14 @@ def coverage_gaps(field: DiscreteField, balls, b: float) -> int:
     image of the ball along x), and memory stays O(sites + window pairs).
     """
     g = field.grid
-    k, m = _square_grid(g)
+    k, _ = _square_grid(g)
     side = g.R / k
     margin = math.sqrt(b)
     gap = np.abs(field.u)  # ||u| - 1|, formed in the |u| buffer
     gap -= 1.0
-    flagged = np.argwhere(np.abs(gap, out=gap) >= b ** (1.0 / 16.0))
-    x = -g.R / 2 + flagged[:, 0] * g.h  # row-major sites: x never decreases
-    y = -g.R / 2 + flagged[:, 1] * g.h
+    i, j = np.divmod(np.flatnonzero(np.abs(gap, out=gap) >= b ** (1.0 / 16.0)), g.n)
+    x = -g.R / 2 + i * g.h  # row-major sites: x never decreases
+    y = -g.R / 2 + j * g.h
     dx1 = (x + g.R / 2) % side
     dx2 = (y + g.R / 2) % side
     inner = np.minimum.reduce([dx1, side - dx1, dx2, side - dx2]) > margin
@@ -571,25 +558,23 @@ def vorticity(field: DiscreteField) -> VorticityField:
     op, u = field.operator(), field.u
     d = np.empty(u.shape, np.complex128)
 
-    def current(axis):
-        # the current j = Im(conj(u) D u) / h on the links along axis,
-        # formed in d as Im(u conj(c u(x + h e))) / -h: D u = c u(x + h e) - u
-        # and Im(conj(u) u) = 0, so the difference is never formed
+    def flux(axis):
+        # minus the link flux h j = Im(conj(u) D u) on the links along axis,
+        # read in d as Im(u conj(c u(x + h e))): D u = c u(x + h e) - u and
+        # Im(conj(u) u) = 0, so the difference is never formed
         op._hop(u, axis, d)
-        np.multiply(u, np.conjugate(d, out=d), out=d)
-        d.imag /= -g.h
-        return d.imag
+        return np.multiply(u, np.conjugate(d, out=d), out=d).imag
 
-    mu = current(0).copy()
-    jy = current(1)
-    jx_next = d.real  # free once jy is formed
-    jx_next[:, :-1], jx_next[:, -1] = mu[:, 1:], mu[:, 0]
-    # circ = h (jx + jy(x + h e1) - jx(x + h e2) - jy), summed in that order
-    mu[:-1] += jy[1:]
-    mu[-1] += jy[0]
-    mu -= jx_next
-    mu -= jy
-    mu *= g.h
+    # circ = h (jx + jy(x + h e1) - jx(x + h e2) - jy), which with f = -h j is
+    # fx(x + h e2) - fx + fy - fy(x + h e1), read from one flux plane at a time
+    mu = np.empty(u.shape)
+    fx = flux(0)
+    np.subtract(fx[:, 1:], fx[:, :-1], out=mu[:, :-1])
+    np.subtract(fx[:, 0], fx[:, -1], out=mu[:, -1])
+    fy = flux(1)
+    mu += fy
+    mu[:-1] -= fy[1:]
+    mu[-1] -= fy[0]
     mu += g.h**2
     return VorticityField(mu=mu, total_mass=math.fsum(np.sum(mu, axis=0)),
                           h=g.h, R=g.R)

@@ -13,6 +13,7 @@ from glcell.cli import EXIT_ERROR, EXIT_MAXITER, EXIT_OK, EXIT_STALLED, build_pa
 from glcell.energy import energy
 from glcell.minimize import SolverSettings
 from glcell.snapshot import read_snapshot
+from glcell.vortices import classify_squares, find_balls
 
 
 def run(args, capsys):
@@ -180,6 +181,29 @@ def test_vortices_on_trial_snapshot(tmp_path, capsys):
     assert len(lines) == 4
     assert all(json.loads(line)["good"] for line in lines)
     assert (vout / "vorticity.glc").exists()
+
+
+def test_vortices_records_keep_their_keys_and_order(tmp_path, capsys):
+    # balls.json and squares.jsonl, byte for byte as written key by key
+    out = tmp_path / "t"
+    run(["trial", "--b", "0.04", "--N", "4", "--out", str(out)], capsys)
+    code, _, _ = run(["vortices", str(out / "field.glc"), "--out", str(tmp_path / "v")], capsys)
+    assert code == EXIT_OK
+    field, b = read_snapshot(out / "field.glc")
+    balls = find_balls(field, b)
+    expected = [{"center": list(ball.center), "radius": ball.radius, "degree": ball.degree}
+                for ball in balls]
+    assert (tmp_path / "v" / "balls.json").read_text() == json.dumps(expected, indent=2) + "\n"
+    lines = [json.dumps({
+        "index": rep.index, "bounds": list(rep.bounds), "energy": rep.energy,
+        "good": rep.good, "d_plus": rep.d_plus, "d_minus": rep.d_minus,
+        "d_total": rep.d_total, "radius_total": rep.radius_total,
+        "radius_budget_exceeded": rep.radius_budget_exceeded,
+    }) + "\n" for rep in classify_squares(field, b, balls=balls)]
+    assert (tmp_path / "v" / "squares.jsonl").read_text() == "".join(lines)
+    assert list(json.loads(lines[0])) == ["index", "bounds", "energy", "good", "d_plus",
+                                          "d_minus", "d_total", "radius_total",
+                                          "radius_budget_exceeded"]
 
 
 def test_vortices_corrupted_payload(tmp_path, capsys):

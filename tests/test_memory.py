@@ -3,12 +3,17 @@
 Each stage holds its inputs, its result and at most one full-size scratch
 array.  The bounds are the traced peak above the bytes live before the call,
 in units of one complex field, at n = 568 (b = 0.02, N = 16), where one field
-is 5.16 MB.  The whole-array forms these stages replaced read 4.52 (trial),
-3.02 (energy), 2.00 (read), 1.00 (write) and 1.50 (coverage); the per-axis
-candidate pairing that the dual distance's class kernels replaced read 0.39
-at depth 6.
+is 5.16 MB.  The vortex pass holds one complex buffer in classify_squares
+(its square energies reduced from it plane by plane), the |u| plane and its
+mask in find_balls, and one complex buffer plus the real mu plane in
+vorticity.  The whole-array forms these stages replaced read 4.52 (trial),
+3.02 (energy), 2.00 (read), 1.00 (write), 1.50 (coverage), 2.09 (squares,
+with two real per-site planes) and 0.665 (balls, with an n x n index map);
+the per-axis candidate pairing that the dual distance's class kernels
+replaced read 0.39 at depth 6.
 """
 
+import math
 import tracemalloc
 
 import pytest
@@ -17,8 +22,9 @@ from glcell.energy import energy
 from glcell.grid import build_grid
 from glcell.snapshot import read_snapshot, write_snapshot
 from glcell.trial import build_trial, trial_config
-from glcell.vortices import (coverage_gaps, find_balls, lipschitz_dual_distance,
-                             uniform_measure, vorticity, vorticity_measure)
+from glcell.vortices import (classify_squares, coverage_gaps, find_balls,
+                             lipschitz_dual_distance, uniform_measure, vorticity,
+                             vorticity_measure)
 
 B, N = 0.02, 16
 
@@ -75,6 +81,24 @@ def test_read_snapshot_peak(trial, tmp_path):
     (back, _), peak = traced_peak(read_snapshot, p)
     assert field_units(peak, trial) <= 1.25
     assert back.u.tobytes() == trial.u.tobytes()
+
+
+def test_find_balls_peak(trial):
+    balls, peak = traced_peak(find_balls, trial, B)
+    assert len(balls) == N
+    assert field_units(peak, trial) <= 0.60
+
+
+def test_classify_squares_peak(trial):
+    balls = find_balls(trial, B)
+    reports, peak = traced_peak(classify_squares, trial, B, 4.0 * math.pi, balls)
+    assert len(reports) == N
+    assert field_units(peak, trial) <= 1.15
+
+
+def test_vorticity_peak(trial):
+    _, peak = traced_peak(vorticity, trial)
+    assert field_units(peak, trial) <= 1.60
 
 
 def test_coverage_gaps_peak(trial):

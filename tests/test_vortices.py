@@ -457,6 +457,91 @@ def test_classify_requires_square_N():
         classify_squares(f, 0.25)
 
 
+def reference_squares(f, b, balls, C_star=4.0 * math.pi):
+    """classify_squares from its definition: the per-site energy b |D u|^2 +
+    (h^2/2) (1 - |u|^2)^2 summed square by square with math.fsum, and each
+    ball filed in the square of its centre, its degree counted only when the
+    disk clears the square's edges by more than sqrt(b)."""
+    g = f.grid
+    k = math.isqrt(g.N)
+    m, side, margin = g.n // k, g.R / k, math.sqrt(b)
+    dx, dy = covariant_differences(f)
+    local = b * (np.abs(dx) ** 2 + np.abs(dy) ** 2) + 0.5 * g.h**2 * (1.0 - np.abs(f.u) ** 2) ** 2
+    refs = []
+    for si, sj in itertools.product(range(k), repeat=2):
+        e = math.fsum(local[si * m:(si + 1) * m, sj * m:(sj + 1) * m].ravel().tolist())
+        lo1, lo2 = -g.R / 2 + si * side, -g.R / 2 + sj * side
+        refs.append({"bounds": (lo1, lo1 + side, lo2, lo2 + side), "energy": e,
+                     "good": e / b <= C_star * abs(math.log(b)), "balls": [],
+                     "d_plus": 0, "d_minus": 0, "radius_total": 0.0})
+    for ball in balls:
+        (x, y), r = ball.center, ball.radius
+        si = int((x + g.R / 2) // side) % k  # the old square_of_point
+        sj = int((y + g.R / 2) // side) % k
+        ref = refs[si * k + sj]
+        ref["balls"].append(ball)
+        ref["radius_total"] += r
+        lo1, hi1, lo2, hi2 = ref["bounds"]
+        if lo1 + margin < x - r and x + r < hi1 - margin and lo2 + margin < y - r \
+                and y + r < hi2 - margin:
+            ref["d_plus"] += max(ball.degree, 0)
+            ref["d_minus"] += max(-ball.degree, 0)
+    return refs
+
+
+def assert_squares_match_reference(f, b):
+    balls = find_balls(f, b)
+    reports = classify_squares(f, b, balls=balls)
+    refs = reference_squares(f, b, balls)
+    assert [rep.index for rep in reports] == list(range(len(refs)))
+    budget = 1.0 / math.log(b) ** 2
+    for rep, ref in zip(reports, refs):
+        assert abs(rep.energy - ref["energy"]) <= 1e-13 * ref["energy"]
+        assert rep.bounds == ref["bounds"]
+        assert rep.good == ref["good"]
+        assert rep.balls == ref["balls"]
+        assert (rep.d_plus, rep.d_minus) == (ref["d_plus"], ref["d_minus"])
+        assert rep.d_total == ref["d_plus"] + ref["d_minus"]
+        assert rep.radius_total == ref["radius_total"]
+        assert rep.radius_budget_exceeded == (ref["radius_total"] > budget)
+    return balls, refs
+
+
+def test_classify_squares_matches_reference_on_minimizer(minimizer_b002):
+    _, refs = assert_squares_match_reference(minimizer_b002.field, 0.02)
+    assert [ref["d_plus"] for ref in refs] == [1] * 16
+
+
+def test_classify_squares_matches_reference_across_edges():
+    # zeros of |u| = prod min(1, r / 0.3) placed so that one ball straddles
+    # the square edge x1 = 0, one the edge x2 = 0, and one crosses the
+    # sqrt(b) margin inside its square; the others clear the margin
+    b, N, n = 0.1, 4, 128
+    g = build_grid(CellConfig(b=b, N=N, n=n))
+    X, Y = np.meshgrid(g.x1, g.x2, indexing="ij")
+    u = np.ones((n, n), dtype=complex)
+    zeros = ((0.02, 1.1, 1), (1.25, -0.03, -1), (0.5, -1.2, 1), (-1.25, -1.25, -1),
+             (-1.2, 1.3, 2), (1.3, 1.0, 1))
+    for cx, cy, degree in zeros:
+        z = (X - cx) + 1j * (Y - cy)
+        u *= np.minimum(1.0, np.abs(z) / 0.3) * np.exp(1j * degree * np.angle(z))
+    f = DiscreteField(u=u, grid=g, wrap=WrapRule(n=n, N=N))
+    balls, refs = assert_squares_match_reference(f, b)
+    assert sorted(ball.degree for ball in balls) == [-1, -1, 1, 1, 1, 2]
+    margin = math.sqrt(b)
+    edge = inner = 0
+    for ref in refs:
+        lo1, hi1, lo2, hi2 = ref["bounds"]
+        for ball in ref["balls"]:
+            (x, y), r = ball.center, ball.radius
+            clear = min(x - r - lo1, hi1 - x - r, y - r - lo2, hi2 - y - r)
+            edge += clear < 0.0
+            inner += 0.0 < clear < margin
+    assert edge == 2 and inner == 1
+    assert sum(ref["d_plus"] for ref in refs) == 3
+    assert sum(ref["d_minus"] for ref in refs) == 1
+
+
 def test_vorticity_mass_identity():
     for profile in ("one", "deg2"):
         f = synthetic_field(profile=profile)
